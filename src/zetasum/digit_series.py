@@ -2,8 +2,9 @@
 
 All series here have exactly rational terms built from the number of zero
 and one bits of the index.  Partial sums are accumulated exactly (as
-ExactRational) up to a configurable term count and as ExtendedReal beyond
-it; every result carries a certified tail bound.
+ExactRational) up to a configurable term count and in fixed point beyond
+it, returned as ExtendedReal; every result carries a certified tail bound,
+which past the exact count also covers the fixed-point rounding.
 
 Tail bound derivations (integral comparison, using N1(n) <= log2(n) + 1
 and that each comparison function is decreasing for n >= 2):
@@ -37,6 +38,11 @@ from .numerics import (
 )
 
 DEFAULT_EXACT_TERMS = 100_000
+
+# Fraction bits of the fixed-point continuation beyond the working binary
+# precision plus the bit length of its floor count: all floors together
+# then lose less than 2^-(prec + 8).
+_FIXED_GUARD_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -139,7 +145,16 @@ def _sum_series(
     exact_limit: int = DEFAULT_EXACT_TERMS,
     precision: int = DEFAULT_PRECISION,
 ) -> SeriesResult:
-    """Sum term(first..last) + offset, exactly while the term count allows."""
+    """Sum term(first..last) + offset, exactly while the term count allows.
+
+    The first exact_limit terms are summed as an exact Fraction.  The rest
+    are summed in fixed point with B fraction bits: the exact prefix and
+    every further term are floored to a multiple of 2^-B, so the integer
+    sum is a rigorous lower end and the true partial sum is less than one
+    2^-B per floor above it.  The result is converted to mpf rounding
+    down, which loses less than one ulp of it.  Both widths are added to
+    the returned tail_bound, so the enclosure covers all rounding.
+    """
     with workdps(precision + _GUARD):
         bound = ExtendedReal(mpf(tail_bound), precision)
         n_terms = last - first + 1
@@ -151,11 +166,16 @@ def _sum_series(
         exact = Fraction(num, den) + offset
         if exact_last == last:
             return SeriesResult(exact, n_terms, bound, series_id, positive)
-        acc = mpf(exact.numerator) / exact.denominator
+        floors = last - exact_last + 1
+        B = mp.prec + floors.bit_length() + _FIXED_GUARD_BITS
+        acc = (exact.numerator << B) // exact.denominator
         for n in range(exact_last + 1, last + 1):
             p, q = term(n)
-            acc += mpf(p) / q
-        return SeriesResult(ExtendedReal(acc, precision), n_terms, bound, series_id, positive)
+            acc += (p << B) // q
+        value = mp.ldexp(mpf(acc, rounding="f"), -B)
+        ulps = floors + (1 << max(0, acc.bit_length() - mp.prec))
+        bound = ExtendedReal(bound.value + mp.ldexp(ulps, -B), precision)
+        return SeriesResult(ExtendedReal(value, precision), n_terms, bound, series_id, positive)
 
 
 # ---------------------------------------------------------------------------

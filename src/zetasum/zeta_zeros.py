@@ -11,6 +11,7 @@ sums can use.  Reports built on these tables inherit that assumption.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc, workdps
@@ -68,8 +69,7 @@ class ZeroTable:
         return self.ordinates[-1].value
 
     def count_below(self, T) -> int:
-        t = mpf(T)
-        return sum(1 for g in self.ordinates if g.value <= t)
+        return bisect_right(self.ordinates, mpf(T), key=lambda g: g.value)
 
     def truncated(self, limit: int) -> "ZeroTable":
         return ZeroTable(self.ordinates[:limit], self.source, self.claimed_accuracy)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,8 @@ from zetasum.digit_series import (
     main_series,
     pochtipochti_series,
 )
-from zetasum.numerics import DomainError, euler_gamma, ln2, ln_pi, target_constant
+from zetasum.numerics import (
+    DomainError, ExtendedReal, euler_gamma, ln2, ln_pi, target_constant)
 
 
 def test_digit_counts_small():
@@ -63,6 +65,29 @@ def test_exact_limit_switch():
         diff = abs(approx.value().value -
                    mpf(exact.partial_sum.numerator) / exact.partial_sum.denominator)
         assert diff < mpf(10) ** -45
+
+
+def _exact(x: mpf) -> Fraction:
+    man, exp = x.man_exp  # man is the absolute mantissa
+    return int(mp.sign(x)) * Fraction(man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("fn", [main_series, gamma_addison, log2pi_dual])
+@pytest.mark.parametrize("N,exact_limit", [(5000, 1000), (20000, 3)])
+def test_fixed_point_continuation_encloses_exact_sum(fn, N, exact_limit):
+    cont = fn(N, exact_limit=exact_limit)
+    exact = fn(N, exact_limit=N)
+    assert exact.is_exact_rational() and not cont.is_exact_rational()
+    # a point enclosure of the exact partial sum, converted at twice the
+    # precision so that its own rounding cannot reach the continuation's ends
+    point = replace(exact, tail_bound=ExtendedReal.of(0, 2 * exact.tail_bound.precision))
+    inner, outer = point.enclosure(), cont.enclosure()
+    assert outer.lower.value <= inner.lower.value
+    assert inner.upper.value <= outer.upper.value
+    # the floors and the downward conversion keep the value a lower end
+    assert _exact(cont.value().value) <= exact.partial_sum
+    widening = cont.tail_bound.value - exact.tail_bound.value
+    assert 0 < widening <= mpf("1e-55")
 
 
 def test_paired_equals_alternating_exactly():

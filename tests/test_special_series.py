@@ -112,6 +112,22 @@ def test_p12_series_accelerated():
         assert err <= r.tail_bound.value
 
 
+@pytest.mark.parametrize("precision", [30, 50])
+def test_p12_series_telescoped_matches_term_sum(precision):
+    for N in (1, 2, 3, 10, 200):
+        raw = p12_series(N, accelerate=False, precision=precision)
+        accelerated = p12_series(N, accelerate=True, precision=precision)
+        with workdps(precision + 20):
+            terms = mp.fsum(p12_term(n, precision).value for n in range(1, N + 1))
+            assert abs(raw.value().value - terms) <= mpf(10) ** -(precision - 2)
+            # the closed-form tail -sum_{n>N} (psi''(n)/24 + psi''''(n)/1920)
+            x = mpf(N + 1)
+            tail = (2 * mp.psi(1, x) + N * mp.psi(2, x)) / 24 + \
+                (4 * mp.psi(3, x) + N * mp.psi(4, x)) / 1920
+            gap = accelerated.value().value - raw.value().value - tail
+            assert abs(gap) <= mpf(10) ** -(precision + 8)
+
+
 def test_p12_limit_is_not_the_main_constant():
     # the midpoint series telescopes to (1 - ln 2)/2, which differs from
     # gamma - ln(4 pi) + 2 in the second decimal

@@ -1,7 +1,7 @@
 import pytest
 from mpmath import mp, mpf, workdps
 
-from zetasum.numerics import DomainError, ExtendedReal
+from zetasum.numerics import DomainError, ExtendedReal, _GUARD
 from zetasum.zeta_zeros import (
     SUPPORTED_HEIGHT,
     ZeroTable,
@@ -87,6 +87,18 @@ def test_table_invariants():
         ZeroTable(good, "guessed", acc)
     with pytest.raises(DomainError):
         ZeroTable((), "computed", acc).max_ordinate()
+
+
+def test_count_below_matches_linear_count(zeros_table):
+    ords = zeros_table.ordinates
+    # the precision the table was read at, so that v +- ulp stay distinct
+    with workdps(ords[0].precision + _GUARD):
+        heights = [ords[0].value / 2, ords[-1].value + 1]
+        for g in ords[::97]:
+            ulp = mp.ldexp(1, mp.mag(g.value) - mp.prec)
+            heights += [g.value - ulp, g.value, g.value + ulp]
+        for t in heights:
+            assert zeros_table.count_below(t) == sum(1 for g in ords if g.value <= t)
 
 
 def test_round_trip(tmp_path, computed_table_100):

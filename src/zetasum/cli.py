@@ -123,40 +123,17 @@ def _route_dict(label: str, result: SeriesResult, digits: int) -> dict:
     }
 
 
-def _emit_routes_csv(rows, header, out):
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(row)
-
-
-def _print_report(report: criteria.IdentityReport, config: RunConfig, out=None):
-    out = out or sys.stdout
-    digits = config.precision
-    routes = [_route_dict(report.route_a[0], report.route_a[1], digits),
-              _route_dict(report.route_b[0], report.route_b[1], digits)]
+def _emit(config: RunConfig, rows: list, doc: dict, lines: list):
+    """Print a report in the form --format selects: doc as JSON, the flat
+    row dicts as CSV (header from the first row's keys), or the text lines."""
     if config.output_format == "json":
-        doc = {
-            "identity": report.identity_id,
-            "routes": routes,
-            "discrepancy": report.discrepancy.to_decimal_string(8),
-            "tolerance": report.tolerance.to_decimal_string(8),
-            "verdict": report.verdict,
-        }
-        out.write(json.dumps(doc, indent=2) + "\n")
+        print(json.dumps(doc, indent=2))
     elif config.output_format == "csv":
-        rows = [(report.identity_id, r["label"], r["value"], r["terms"],
-                 r["tail_bound"], report.verdict) for r in routes]
-        _emit_routes_csv(rows, ("identity", "label", "value", "terms",
-                                "tail_bound", "verdict"), out)
+        w = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), lineterminator="\n")
+        w.writeheader()
+        w.writerows(rows)
     else:
-        out.write(f"identity: {report.identity_id}\n")
-        for r in routes:
-            out.write(f"  {r['label']}: {r['value']}  "
-                      f"(terms={r['terms']}, tail_bound={r['tail_bound']})\n")
-        out.write(f"  discrepancy: {report.discrepancy.to_decimal_string(8)}\n")
-        out.write(f"  tolerance:   {report.tolerance.to_decimal_string(8)}\n")
-        out.write(f"  verdict:     {report.verdict}\n")
+        print("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -165,54 +142,34 @@ def _print_report(report: criteria.IdentityReport, config: RunConfig, out=None):
 def cmd_constants(config: RunConfig) -> int:
     p = config.precision
     N = config.terms or 100_000
-    rows = []  # (constant, label, SeriesResult)
-
-    def const_route(label, value):
-        return criteria._const_route(label, value, p)
-
-    rows.append(("gamma", "gamma_addison", gamma_addison(N, precision=p)))
-    rows.append(("gamma", "stieltjes[0]",
-                 stieltjes(StieltjesRequest(0, max(N // 10, 1000)), p)))
-    rows.append(("ln(4/pi)", "log4pi_paired", log4pi_paired(N, precision=p)))
-    rows.append(("ln(4/pi)", "log4pi_alternating",
-                 log4pi_alternating(2 * N + 1, precision=p)))
-    s = log2_series(N, precision=p)
-    rows.append(("ln 2", "3/4 - log2_series",
-                 SeriesResult(ExtendedReal.of(mpf(3) / 4, p) - s.value(p),
-                              s.terms_used, s.tail_bound, "log2_series")))
-    rows.append(("ln 2", "reference", const_route("reference", ln2(p))))
     lp = log4pi_paired(N, precision=p)
-    rows.append(("ln pi", "2 ln 2 - log4pi_paired",
-                 SeriesResult(2 * ln2(p) - lp.value(p), lp.terms_used,
-                              lp.tail_bound, "log4pi_paired")))
-    rows.append(("ln pi", "reference", const_route("reference", ln_pi(p))))
-    rows.append(("gamma - ln(4 pi) + 2", "main_series",
-                 main_series(N, precision=p)))
-    rows.append(("gamma - ln(4 pi) + 2", "p01_integral",
-                 p01_integral(min(N, 2000), precision=p)))
-
-    digits = p
-    if config.output_format == "json":
-        grouped: dict = {}
-        for name, label, r in rows:
-            grouped.setdefault(name, []).append(_route_dict(label, r, digits))
-        doc = {"constants": [{"name": k, "routes": v} for k, v in grouped.items()]}
-        print(json.dumps(doc, indent=2))
-    elif config.output_format == "csv":
-        out_rows = []
-        for name, label, r in rows:
-            d = _route_dict(label, r, digits)
-            out_rows.append((name, label, d["value"], d["terms"], d["tail_bound"]))
-        _emit_routes_csv(out_rows, ("constant", "label", "value", "terms",
-                                    "tail_bound"), sys.stdout)
-    else:
-        current = None
-        for name, label, r in rows:
-            if name != current:
-                print(name)
-                current = name
-            d = _route_dict(label, r, digits)
-            print(f"  {label}: {d['value']}  (tail_bound={d['tail_bound']})")
+    s = log2_series(N, precision=p)
+    routes = [  # (constant, label, SeriesResult)
+        ("gamma", "gamma_addison", gamma_addison(N, precision=p)),
+        ("gamma", "stieltjes[0]", stieltjes(StieltjesRequest(0, max(N // 10, 1000)), p)),
+        ("ln(4/pi)", "log4pi_paired", lp),
+        ("ln(4/pi)", "log4pi_alternating", log4pi_alternating(2 * N + 1, precision=p)),
+        ("ln 2", "3/4 - log2_series",
+         SeriesResult(ExtendedReal.of(mpf(3) / 4, p) - s.value(p),
+                      s.terms_used, s.tail_bound, "log2_series")),
+        ("ln 2", "reference", criteria._const_route("reference", ln2(p), p)),
+        ("ln pi", "2 ln 2 - log4pi_paired",
+         SeriesResult(2 * ln2(p) - lp.value(p), lp.terms_used,
+                      lp.tail_bound, "log4pi_paired")),
+        ("ln pi", "reference", criteria._const_route("reference", ln_pi(p), p)),
+        ("gamma - ln(4 pi) + 2", "main_series", main_series(N, precision=p)),
+        ("gamma - ln(4 pi) + 2", "p01_integral", p01_integral(min(N, 2000), precision=p)),
+    ]
+    grouped: dict = {}
+    for name, label, r in routes:
+        grouped.setdefault(name, []).append(_route_dict(label, r, p))
+    rows = [{"constant": name, **route} for name, group in grouped.items() for route in group]
+    lines = []
+    for name, group in grouped.items():
+        lines.append(name)
+        lines += [f"  {r['label']}: {r['value']}  (tail_bound={r['tail_bound']})" for r in group]
+    doc = {"constants": [{"name": k, "routes": v} for k, v in grouped.items()]}
+    _emit(config, rows, doc, lines)
     return EXIT_PASS
 
 
@@ -227,7 +184,20 @@ def cmd_verify(identity_id: str, config: RunConfig) -> int:
         with_tail_correction=config.tail_correction,
         precision=config.precision,
     )
-    _print_report(report, config)
+    routes = [_route_dict(label, r, config.precision)
+              for label, r in (report.route_a, report.route_b)]
+    discrepancy = report.discrepancy.to_decimal_string(8)
+    tolerance = report.tolerance.to_decimal_string(8)
+    doc = {"identity": report.identity_id, "routes": routes,
+           "discrepancy": discrepancy, "tolerance": tolerance, "verdict": report.verdict}
+    rows = [{"identity": report.identity_id, **r, "verdict": report.verdict} for r in routes]
+    lines = [f"identity: {report.identity_id}",
+             *(f"  {r['label']}: {r['value']}  "
+               f"(terms={r['terms']}, tail_bound={r['tail_bound']})" for r in routes),
+             f"  discrepancy: {discrepancy}",
+             f"  tolerance:   {tolerance}",
+             f"  verdict:     {report.verdict}"]
+    _emit(config, rows, doc, lines)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -270,29 +240,17 @@ def cmd_li(n_max: int, config: RunConfig) -> int:
     if n_max < 1:
         raise DomainError("li requires n_max >= 1")
     zeros = _get_zeros(config)
-    rows = []
+    rows, lines = [], []
     for n in range(1, n_max + 1):
         r = criteria.li_lambda(n, zeros, config.tail_correction, config.precision)
-        rows.append((n, r))
-    if config.output_format == "json":
-        doc = {"lambda": [{"n": n,
-                           "value": r.value().to_decimal_string(config.precision),
-                           "positive": r.value().value > 0,
-                           "tail_bound": r.tail_bound.to_decimal_string(8)}
-                          for n, r in rows]}
-        print(json.dumps(doc, indent=2))
-    elif config.output_format == "csv":
-        out_rows = [(n, r.value().to_decimal_string(config.precision),
-                     r.value().value > 0, r.tail_bound.to_decimal_string(8))
-                    for n, r in rows]
-        _emit_routes_csv(out_rows, ("n", "value", "positive", "tail_bound"),
-                         sys.stdout)
-    else:
-        for n, r in rows:
-            flag = "+" if r.value().value > 0 else "-"
-            print(f"lambda_{n} = {r.value().to_decimal_string(config.precision)}  "
-                  f"[{flag}]  (zeros={r.terms_used}, "
-                  f"tail_bound={r.tail_bound.to_decimal_string(8)})")
+        row = {"n": n,
+               "value": r.value().to_decimal_string(config.precision),
+               "positive": r.value().value > 0,
+               "tail_bound": r.tail_bound.to_decimal_string(8)}
+        rows.append(row)
+        lines.append(f"lambda_{n} = {row['value']}  [{'+' if row['positive'] else '-'}]  "
+                     f"(zeros={r.terms_used}, tail_bound={row['tail_bound']})")
+    _emit(config, rows, {"lambda": rows}, lines)
     return EXIT_PASS
 
 
@@ -300,22 +258,12 @@ def cmd_gn(n: int, k: Optional[int], config: RunConfig) -> int:
     zeros = _get_zeros(config)
     K = k or len(zeros)
     r = criteria.gn_multisum(n, zeros, K, config.precision)
-    positive = r.value().value > 0
-    if config.output_format == "json":
-        doc = {"n": n, "zeros_used": K,
-               "value": r.value().to_decimal_string(config.precision),
-               "positive": positive,
-               "tail_bound": r.tail_bound.to_decimal_string(8)}
-        print(json.dumps(doc, indent=2))
-    elif config.output_format == "csv":
-        _emit_routes_csv(
-            [(n, K, r.value().to_decimal_string(config.precision), positive,
-              r.tail_bound.to_decimal_string(8))],
-            ("n", "zeros_used", "value", "positive", "tail_bound"), sys.stdout)
-    else:
-        print(f"G_{n} multisum over {K} zeros = "
-              f"{r.value().to_decimal_string(config.precision)}  "
-              f"positive={positive}")
+    row = {"n": n, "zeros_used": K,
+           "value": r.value().to_decimal_string(config.precision),
+           "positive": r.value().value > 0,
+           "tail_bound": r.tail_bound.to_decimal_string(8)}
+    _emit(config, [row], row,
+          [f"G_{n} multisum over {K} zeros = {row['value']}  positive={row['positive']}"])
     return EXIT_PASS
 
 

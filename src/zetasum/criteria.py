@@ -275,24 +275,52 @@ def gn_multisum(
 # ---------------------------------------------------------------------------
 # Identity verifier
 
-_DEFAULT_TERMS = {
-    "itog": 1_000_000,
-    "p01": 1_000,
-    "p12": 10_000,
-    "pochti": 100_000,
-    "log2": 100_000,
-    "addison": 100_000,
-    "vacca_dual": 100_000,
-    "dual_addison": 100_000,
-    "pochtipochti": 100_000,
-}
-
-IDENTITY_IDS = tuple(sorted(_DEFAULT_TERMS)) + ("p0_zeros",)
-
-
 def _const_route(label: str, value: ExtendedReal, precision: int) -> SeriesResult:
     slack = ExtendedReal.of(mpf(10) ** (-(precision - 2)), precision)
     return SeriesResult(value, 0, slack, label)
+
+
+_TARGET = ("gamma - ln(4 pi) + 2",
+           lambda p: _const_route("constant", target_constant(p), p))
+
+# identity id -> (label_a, route_a(N, p), label_b, route_b(p), default N).
+# Each route looks its function up by name when it runs, so that a module
+# global replaced at run time (as a tracer does) is the one called.
+_IDENTITIES = {
+    "itog": ("main_series", lambda N, p: main_series(N, precision=p),
+             *_TARGET, 1_000_000),
+    "p01": ("p01_integral", lambda N, p: p01_integral(N, precision=p),
+            *_TARGET, 1_000),
+    "p12": ("p12_series", lambda N, p: p12_series(N, precision=p),
+            *_TARGET, 10_000),
+    "pochti": ("combined_pochti", lambda N, p: combined_pochti(N, precision=p),
+               "gamma - ln pi + ln 2",
+               lambda p: _const_route("constant", euler_gamma(p) - ln_pi(p) + ln2(p), p),
+               100_000),
+    "log2": ("log2_series", lambda N, p: log2_series(N, precision=p),
+             "3/4 - ln 2",
+             lambda p: _const_route("constant", ExtendedReal.of(0.75, p) - ln2(p), p),
+             100_000),
+    "addison": ("gamma_addison", lambda N, p: gamma_addison(N, precision=p),
+                "stieltjes(0)", lambda p: stieltjes(StieltjesRequest(0), p),
+                100_000),
+    "vacca_dual": ("log4pi_paired", lambda N, p: log4pi_paired(N, precision=p),
+                   "ln(4/pi)", lambda p: _const_route("constant", 2 * ln2(p) - ln_pi(p), p),
+                   100_000),
+    "dual_addison": ("log2pi_dual", lambda N, p: log2pi_dual(N, precision=p),
+                     "ln(2/pi)", lambda p: _const_route("constant", ln2(p) - ln_pi(p), p),
+                     100_000),
+    "pochtipochti": ("pochtipochti_series",
+                     lambda N, p: pochtipochti_series(N, precision=p),
+                     "gamma - ln pi - 2 ln 2 + 9/4",
+                     lambda p: _const_route(
+                         "constant",
+                         euler_gamma(p) - ln_pi(p) - 2 * ln2(p)
+                         + ExtendedReal.of(mpf(9) / 4, p), p),
+                     100_000),
+}
+
+IDENTITY_IDS = tuple(sorted(_IDENTITIES)) + ("p0_zeros",)
 
 
 def verify_identity(
@@ -309,55 +337,18 @@ def verify_identity(
     """
     p = precision
     with workdps(p + _GUARD):
-        g = euler_gamma(p)
-        l2 = ln2(p)
-        lpi = ln_pi(p)
         if identity_id == "p0_zeros":
             if zeros is None or len(zeros) == 0:
                 raise DomainError("p0_zeros needs a nonempty zero table")
             a = ("zero_sum_p0", zero_sum_p0(zeros, with_tail_correction, p))
-            b = ("gamma - ln(4 pi) + 2", _const_route("constant", target_constant(p), p))
-        elif identity_id == "itog":
-            N = terms or _DEFAULT_TERMS["itog"]
-            a = ("main_series", main_series(N, precision=p))
-            b = ("gamma - ln(4 pi) + 2", _const_route("constant", target_constant(p), p))
-        elif identity_id == "p01":
-            N = terms or _DEFAULT_TERMS["p01"]
-            a = ("p01_integral", p01_integral(N, precision=p))
-            b = ("gamma - ln(4 pi) + 2", _const_route("constant", target_constant(p), p))
-        elif identity_id == "p12":
-            N = terms or _DEFAULT_TERMS["p12"]
-            a = ("p12_series", p12_series(N, precision=p))
-            b = ("gamma - ln(4 pi) + 2", _const_route("constant", target_constant(p), p))
-        elif identity_id == "pochti":
-            N = terms or _DEFAULT_TERMS["pochti"]
-            a = ("combined_pochti", combined_pochti(N, precision=p))
-            b = ("gamma - ln pi + ln 2", _const_route("constant", g - lpi + l2, p))
-        elif identity_id == "log2":
-            N = terms or _DEFAULT_TERMS["log2"]
-            a = ("log2_series", log2_series(N, precision=p))
-            b = ("3/4 - ln 2", _const_route("constant", ExtendedReal.of(0.75, p) - l2, p))
-        elif identity_id == "addison":
-            N = terms or _DEFAULT_TERMS["addison"]
-            a = ("gamma_addison", gamma_addison(N, precision=p))
-            b = ("stieltjes(0)", stieltjes(StieltjesRequest(0), p))
-        elif identity_id == "vacca_dual":
-            N = terms or _DEFAULT_TERMS["vacca_dual"]
-            a = ("log4pi_paired", log4pi_paired(N, precision=p))
-            b = ("ln(4/pi)", _const_route("constant", 2 * l2 - lpi, p))
-        elif identity_id == "dual_addison":
-            N = terms or _DEFAULT_TERMS["dual_addison"]
-            a = ("log2pi_dual", log2pi_dual(N, precision=p))
-            b = ("ln(2/pi)", _const_route("constant", l2 - lpi, p))
-        elif identity_id == "pochtipochti":
-            N = terms or _DEFAULT_TERMS["pochtipochti"]
-            a = ("pochtipochti_series", pochtipochti_series(N, precision=p))
-            b = ("gamma - ln pi - 2 ln 2 + 9/4",
-                 _const_route("constant",
-                              g - lpi - 2 * l2 + ExtendedReal.of(mpf(9) / 4, p), p))
+            label_b, route_b = _TARGET
+        elif identity_id in _IDENTITIES:
+            label_a, route_a, label_b, route_b, default = _IDENTITIES[identity_id]
+            a = (label_a, route_a(terms if terms is not None else default, p))
         else:
             raise DomainError(f"unknown identity {identity_id!r}; "
                               f"known: {', '.join(IDENTITY_IDS)}")
+        b = (label_b, route_b(p))
         va = a[1].value(p)
         vb = b[1].value(p)
         discrepancy = abs(va - vb)

@@ -1,10 +1,12 @@
 """Binary-digit-count series.
 
 All series here have exactly rational terms built from the number of zero
-and one bits of the index.  Partial sums are accumulated exactly (as
-ExactRational) up to a configurable term count and in fixed point beyond
-it, returned as ExtendedReal; every result carries a certified tail bound,
-which past the exact count also covers the fixed-point rounding.
+and one bits of the index.  Each public series function is generated from
+one row of a spec table (_SPECS): its name, docstring, start index, term,
+tail bound, rational offset and positivity.  Partial sums are accumulated
+exactly (as ExactRational) up to a configurable term count and in fixed
+point beyond it, returned as ExtendedReal; every result carries a certified
+tail bound, which past the exact count also covers the fixed-point rounding.
 
 Tail bound derivations (integral comparison, using N1(n) <= log2(n) + 1
 and that each comparison function is decreasing for n >= 2):
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Tuple, Union
+from typing import Callable, NamedTuple, Tuple, Union
 
 from mpmath import mp, mpf, workdps
 
@@ -134,17 +136,24 @@ def _tree_sum(term: TermFn, lo: int, hi: int) -> Tuple[int, int]:
     return n1 * m2 + n2 * (d1 // g), d1 * m2
 
 
-def _sum_series(
-    series_id: str,
-    term: TermFn,
-    first: int,
-    last: int,
-    tail_bound: mpf,
-    offset: Fraction = Fraction(0),
-    positive: bool = False,
-    exact_limit: int = DEFAULT_EXACT_TERMS,
-    precision: int = DEFAULT_PRECISION,
-) -> SeriesResult:
+class _Spec(NamedTuple):
+    """One digit series: sum of term(n) for n = first..N, plus offset.
+
+    term(n) returns the exact term as an integer (numerator, denominator)
+    pair; bound(N) is the certified bound on the tail beyond n = N,
+    evaluated at the working precision.
+    """
+
+    name: str
+    doc: str
+    first: int
+    term: TermFn
+    bound: Callable[[int], mpf]
+    offset: Fraction = Fraction(0)
+    positive: bool = False
+
+
+def _sum_series(spec: _Spec, last: int, exact_limit: int, precision: int) -> SeriesResult:
     """Sum term(first..last) + offset, exactly while the term count allows.
 
     The first exact_limit terms are summed as an exact Fraction.  The rest
@@ -155,17 +164,15 @@ def _sum_series(
     down, which loses less than one ulp of it.  Both widths are added to
     the returned tail_bound, so the enclosure covers all rounding.
     """
+    term, first = spec.term, spec.first
     with workdps(precision + _GUARD):
-        bound = ExtendedReal(mpf(tail_bound), precision)
+        bound = ExtendedReal(spec.bound(last), precision)
         n_terms = last - first + 1
-        if n_terms <= 0:
-            partial: Union[Fraction, ExtendedReal] = offset
-            return SeriesResult(partial, 0, bound, series_id, positive)
         exact_last = min(last, first + exact_limit - 1)
         num, den = _tree_sum(term, first, exact_last)
-        exact = Fraction(num, den) + offset
+        exact = Fraction(num, den) + spec.offset
         if exact_last == last:
-            return SeriesResult(exact, n_terms, bound, series_id, positive)
+            return SeriesResult(exact, n_terms, bound, spec.name, spec.positive)
         floors = last - exact_last + 1
         B = mp.prec + floors.bit_length() + _FIXED_GUARD_BITS
         acc = (exact.numerator << B) // exact.denominator
@@ -175,7 +182,27 @@ def _sum_series(
         value = mp.ldexp(mpf(acc, rounding="f"), -B)
         ulps = floors + (1 << max(0, acc.bit_length() - mp.prec))
         bound = ExtendedReal(bound.value + mp.ldexp(ulps, -B), precision)
-        return SeriesResult(ExtendedReal(value, precision), n_terms, bound, series_id, positive)
+        return SeriesResult(ExtendedReal(value, precision), n_terms, bound, spec.name,
+                            spec.positive)
+
+
+def _series(spec: _Spec) -> Callable[..., SeriesResult]:
+    """The public function summing spec's series from n = first to N."""
+
+    def series(
+        N: int,
+        exact_limit: int = DEFAULT_EXACT_TERMS,
+        precision: int = DEFAULT_PRECISION,
+    ) -> SeriesResult:
+        if N < spec.first:
+            raise DomainError(f"{spec.name} requires N >= {spec.first}")
+        if exact_limit < 1:
+            raise DomainError(f"{spec.name} requires exact_limit >= 1, got {exact_limit}")
+        return _sum_series(spec, N, exact_limit, precision)
+
+    series.__name__ = series.__qualname__ = spec.name
+    series.__doc__ = spec.doc
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -196,195 +223,70 @@ def _bound_cubic(N: int, a: int, b: int) -> mpf:
 
 
 # ---------------------------------------------------------------------------
-# The series
+# The series.  Each term is one closure with its denominator written out,
+# so that the summation loops make one Python call per term.
 
+_SPECS = (
+    _Spec("gamma_vacca_alternating",
+          """Alternating digit transcription of the Vacca series; converges to
+    Euler's gamma.""",
+          2,
+          # N1 + N0 of floor(n/2), signed by the parity of n
+          lambda n: ((n >> 1).bit_length() * (-1 if n & 1 else 1), n),
+          _bound_alternating),
+    _Spec("log4pi_alternating",
+          """Alternating dual series; converges to ln(4/pi).""",
+          2,
+          # N1 - N0 of floor(n/2), signed by the parity of n
+          lambda n: ((2 * (n >> 1).bit_count() - (n >> 1).bit_length())
+                     * (-1 if n & 1 else 1), n),
+          _bound_alternating),
+    _Spec("gamma_paired",
+          """Pairwise-grouped Vacca series with positive terms; converges to
+    Euler's gamma.""",
+          1,
+          lambda n: (n.bit_length(), 2 * n * (2 * n + 1)),
+          _bound_paired, positive=True),
+    _Spec("log4pi_paired",
+          """Pairwise-grouped dual series; converges to ln(4/pi).""",
+          1,
+          lambda n: (2 * n.bit_count() - n.bit_length(), 2 * n * (2 * n + 1)),
+          _bound_paired),
+    _Spec("gamma_addison",
+          """Accelerated digit series with cubic denominators; converges to
+    Euler's gamma.""",
+          1,
+          lambda n: (n.bit_length(), 2 * n * (2 * n + 1) * (2 * n + 2)),
+          lambda N: _bound_cubic(N, 1, 1), offset=Fraction(1, 2), positive=True),
+    _Spec("log2pi_dual",
+          """Dual of the accelerated series; converges to ln(2/pi).""",
+          1,
+          lambda n: (2 * n.bit_count() - n.bit_length(), 2 * n * (2 * n + 1) * (2 * n + 2)),
+          lambda N: _bound_cubic(N, 1, 1), offset=Fraction(-1, 2)),
+    _Spec("combined_pochti",
+          """Sum of the accelerated pair; all terms positive; converges to
+    gamma - ln(pi) + ln(2).""",
+          1,
+          lambda n: (2 * n.bit_count(), 2 * n * (2 * n + 1) * (2 * n + 2)),
+          lambda N: _bound_cubic(N, 2, 2), positive=True),
+    _Spec("log2_series",
+          """Telescoping-style cubic series; converges to 3/4 - ln 2.""",
+          1,
+          lambda n: (1, 2 * n * (2 * n + 1) * (2 * n + 2)),
+          lambda N: mpf(1) / (16 * N ** 2), positive=True),
+    _Spec("pochtipochti_series",
+          """Positive-term series converging to gamma - ln(pi) - 2 ln 2 + 9/4.""",
+          1,
+          lambda n: (2 * n.bit_count() + 3, 2 * n * (2 * n + 1) * (2 * n + 2)),
+          lambda N: _bound_cubic(N, 2, 5), positive=True),
+    _Spec("main_series",
+          """The headline positive-term series, starting at n = 3; converges to
+    gamma - ln(4 pi) + 2.""",
+          3,
+          lambda n: (2 * n.bit_count() + 3, 2 * n * (2 * n + 1) * (2 * n + 2)),
+          lambda N: _bound_cubic(N, 2, 5), positive=True),
+)
 
-def gamma_vacca_alternating(
-    N: int,
-    exact_limit: int = DEFAULT_EXACT_TERMS,
-    precision: int = DEFAULT_PRECISION,
-) -> SeriesResult:
-    """Alternating digit transcription of the Vacca series; converges to
-    Euler's gamma."""
-    if N < 2:
-        raise DomainError("gamma_vacca_alternating requires N >= 2")
-
-    def term(n: int) -> Tuple[int, int]:
-        half = n >> 1
-        c = half.bit_length()  # N1 + N0 of floor(n/2)
-        return (c if n % 2 == 0 else -c), n
-
-    with workdps(precision + _GUARD):
-        bound = _bound_alternating(N)
-    return _sum_series("gamma_vacca_alternating", term, 2, N, bound,
-                       exact_limit=exact_limit, precision=precision)
-
-
-def log4pi_alternating(
-    N: int,
-    exact_limit: int = DEFAULT_EXACT_TERMS,
-    precision: int = DEFAULT_PRECISION,
-) -> SeriesResult:
-    """Alternating dual series; converges to ln(4/pi)."""
-    if N < 2:
-        raise DomainError("log4pi_alternating requires N >= 2")
-
-    def term(n: int) -> Tuple[int, int]:
-        half = n >> 1
-        d = 2 * half.bit_count() - half.bit_length()  # N1 - N0
-        return (d if n % 2 == 0 else -d), n
-
-    with workdps(precision + _GUARD):
-        bound = _bound_alternating(N)
-    return _sum_series("log4pi_alternating", term, 2, N, bound,
-                       exact_limit=exact_limit, precision=precision)
-
-
-def gamma_paired(
-    N: int,
-    exact_limit: int = DEFAULT_EXACT_TERMS,
-    precision: int = DEFAULT_PRECISION,
-) -> SeriesResult:
-    """Pairwise-grouped Vacca series with positive terms; converges to
-    Euler's gamma."""
-    if N < 1:
-        raise DomainError("gamma_paired requires N >= 1")
-
-    def term(n: int) -> Tuple[int, int]:
-        return n.bit_length(), 2 * n * (2 * n + 1)
-
-    with workdps(precision + _GUARD):
-        bound = _bound_paired(N)
-    return _sum_series("gamma_paired", term, 1, N, bound, positive=True,
-                       exact_limit=exact_limit, precision=precision)
-
-
-def log4pi_paired(
-    N: int,
-    exact_limit: int = DEFAULT_EXACT_TERMS,
-    precision: int = DEFAULT_PRECISION,
-) -> SeriesResult:
-    """Pairwise-grouped dual series; converges to ln(4/pi)."""
-    if N < 1:
-        raise DomainError("log4pi_paired requires N >= 1")
-
-    def term(n: int) -> Tuple[int, int]:
-        return 2 * n.bit_count() - n.bit_length(), 2 * n * (2 * n + 1)
-
-    with workdps(precision + _GUARD):
-        bound = _bound_paired(N)
-    return _sum_series("log4pi_paired", term, 1, N, bound,
-                       exact_limit=exact_limit, precision=precision)
-
-
-def gamma_addison(
-    N: int,
-    exact_limit: int = DEFAULT_EXACT_TERMS,
-    precision: int = DEFAULT_PRECISION,
-) -> SeriesResult:
-    """Accelerated digit series with cubic denominators; converges to
-    Euler's gamma."""
-    if N < 1:
-        raise DomainError("gamma_addison requires N >= 1")
-
-    def term(n: int) -> Tuple[int, int]:
-        return n.bit_length(), 2 * n * (2 * n + 1) * (2 * n + 2)
-
-    with workdps(precision + _GUARD):
-        bound = _bound_cubic(N, 1, 1)
-    return _sum_series("gamma_addison", term, 1, N, bound,
-                       offset=Fraction(1, 2), positive=True,
-                       exact_limit=exact_limit, precision=precision)
-
-
-def log2pi_dual(
-    N: int,
-    exact_limit: int = DEFAULT_EXACT_TERMS,
-    precision: int = DEFAULT_PRECISION,
-) -> SeriesResult:
-    """Dual of the accelerated series; converges to ln(2/pi)."""
-    if N < 1:
-        raise DomainError("log2pi_dual requires N >= 1")
-
-    def term(n: int) -> Tuple[int, int]:
-        return 2 * n.bit_count() - n.bit_length(), 2 * n * (2 * n + 1) * (2 * n + 2)
-
-    with workdps(precision + _GUARD):
-        bound = _bound_cubic(N, 1, 1)
-    return _sum_series("log2pi_dual", term, 1, N, bound,
-                       offset=Fraction(-1, 2),
-                       exact_limit=exact_limit, precision=precision)
-
-
-def combined_pochti(
-    N: int,
-    exact_limit: int = DEFAULT_EXACT_TERMS,
-    precision: int = DEFAULT_PRECISION,
-) -> SeriesResult:
-    """Sum of the accelerated pair; all terms positive; converges to
-    gamma - ln(pi) + ln(2)."""
-    if N < 1:
-        raise DomainError("combined_pochti requires N >= 1")
-
-    def term(n: int) -> Tuple[int, int]:
-        return 2 * n.bit_count(), 2 * n * (2 * n + 1) * (2 * n + 2)
-
-    with workdps(precision + _GUARD):
-        bound = _bound_cubic(N, 2, 2)
-    return _sum_series("combined_pochti", term, 1, N, bound, positive=True,
-                       exact_limit=exact_limit, precision=precision)
-
-
-def log2_series(
-    N: int,
-    exact_limit: int = DEFAULT_EXACT_TERMS,
-    precision: int = DEFAULT_PRECISION,
-) -> SeriesResult:
-    """Telescoping-style cubic series; converges to 3/4 - ln 2."""
-    if N < 1:
-        raise DomainError("log2_series requires N >= 1")
-
-    def term(n: int) -> Tuple[int, int]:
-        return 1, 2 * n * (2 * n + 1) * (2 * n + 2)
-
-    with workdps(precision + _GUARD):
-        bound = mpf(1) / (16 * N ** 2)
-    return _sum_series("log2_series", term, 1, N, bound, positive=True,
-                       exact_limit=exact_limit, precision=precision)
-
-
-def pochtipochti_series(
-    N: int,
-    exact_limit: int = DEFAULT_EXACT_TERMS,
-    precision: int = DEFAULT_PRECISION,
-) -> SeriesResult:
-    """Positive-term series converging to gamma - ln(pi) - 2 ln 2 + 9/4."""
-    if N < 1:
-        raise DomainError("pochtipochti_series requires N >= 1")
-
-    def term(n: int) -> Tuple[int, int]:
-        return 2 * n.bit_count() + 3, 2 * n * (2 * n + 1) * (2 * n + 2)
-
-    with workdps(precision + _GUARD):
-        bound = _bound_cubic(N, 2, 5)
-    return _sum_series("pochtipochti_series", term, 1, N, bound, positive=True,
-                       exact_limit=exact_limit, precision=precision)
-
-
-def main_series(
-    N: int,
-    exact_limit: int = DEFAULT_EXACT_TERMS,
-    precision: int = DEFAULT_PRECISION,
-) -> SeriesResult:
-    """The headline positive-term series, starting at n = 3; converges to
-    gamma - ln(4 pi) + 2."""
-    if N < 3:
-        raise DomainError("main_series requires N >= 3")
-
-    def term(n: int) -> Tuple[int, int]:
-        return 2 * n.bit_count() + 3, 2 * n * (2 * n + 1) * (2 * n + 2)
-
-    with workdps(precision + _GUARD):
-        bound = _bound_cubic(N, 2, 5)
-    return _sum_series("main_series", term, 3, N, bound, positive=True,
-                       exact_limit=exact_limit, precision=precision)
+(gamma_vacca_alternating, log4pi_alternating, gamma_paired, log4pi_paired,
+ gamma_addison, log2pi_dual, combined_pochti, log2_series, pochtipochti_series,
+ main_series) = (_series(spec) for spec in _SPECS)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+import pytest
 
 from zetasum.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 from tests.conftest import ZEROS_FILE
@@ -179,3 +180,32 @@ def test_missing_file_usage_error(capsys):
     code, _, err = run(capsys, "verify", "p0_zeros",
                        "--zeros-file", "/nonexistent/zeros.txt")
     assert code == EXIT_USAGE
+
+
+def _flat_verify(doc):
+    return [{"identity": doc["identity"], **r, "verdict": doc["verdict"]}
+            for r in doc["routes"]]
+
+
+def _flat_constants(doc):
+    return [{"constant": c["name"], **r} for c in doc["constants"] for r in c["routes"]]
+
+
+@pytest.mark.parametrize("argv,flatten", [
+    (("verify", "log2", "--terms", "5000"), _flat_verify),
+    (("constants", "--terms", "1000"), _flat_constants),
+    (("li", "3", "--zeros-file", ZEROS_FILE), lambda doc: doc["lambda"]),
+    (("gn", "2", "--zeros", "50", "--zeros-file", ZEROS_FILE), lambda doc: [doc]),
+])
+def test_formats_agree(capsys, argv, flatten):
+    outs = {}
+    for fmt in ("json", "csv", "text"):
+        code, outs[fmt], _ = run(capsys, *argv, "--format", fmt)
+        assert code == EXIT_PASS
+    expected = flatten(json.loads(outs["json"]))
+    header, *rows = list(csv.reader(io.StringIO(outs["csv"])))
+    assert header == list(expected[0])
+    assert [dict(zip(header, row)) for row in rows] == \
+        [{k: str(v) for k, v in row.items()} for row in expected]
+    for row in expected:
+        assert row["value"] in outs["text"]

@@ -3,6 +3,7 @@ import random
 import pytest
 from mpmath import mp, mpc, mpf, workdps
 
+from zetasum import criteria
 from zetasum.criteria import (
     IdentityReport,
     TailCorrection,
@@ -256,3 +257,32 @@ def test_report_verdict_consistency():
         IdentityReport(rep.identity_id, rep.route_a, rep.route_b,
                        rep.discrepancy, rep.tolerance,
                        "fail" if rep.verdict == "pass" else "pass")
+
+
+@pytest.mark.parametrize("identity", ["log2", "p01"])
+def test_verify_zero_terms_rejected(identity):
+    # terms=0 is the route's own domain error, not a silent default run
+    with pytest.raises(DomainError):
+        verify_identity(identity, terms=0, precision=30)
+
+
+@pytest.mark.parametrize("identity,route", [
+    ("itog", "main_series"), ("p01", "p01_integral"), ("p12", "p12_series"),
+    ("pochti", "combined_pochti"), ("log2", "log2_series"),
+    ("addison", "gamma_addison"), ("addison", "stieltjes"),
+    ("vacca_dual", "log4pi_paired"), ("dual_addison", "log2pi_dual"),
+    ("pochtipochti", "pochtipochti_series"), ("p0_zeros", "zero_sum_p0"),
+])
+def test_verify_identity_looks_routes_up_by_name(identity, route, monkeypatch, zeros_table):
+    # a route replaced in the module namespace (as a span tracer does) must
+    # be the one verify_identity runs
+    real = getattr(criteria, route)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, route, spy)
+    verify_identity(identity, terms=200, zeros=zeros_table, precision=30)
+    assert len(calls) == 1

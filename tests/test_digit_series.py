@@ -1,9 +1,11 @@
+import inspect
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf, workdps
 
+from zetasum import digit_series
 from zetasum.digit_series import (
     DigitCounts,
     SeriesResult,
@@ -172,3 +174,42 @@ def test_series_result_tail_bound_nonnegative():
     with pytest.raises(DomainError):
         SeriesResult(ExtendedReal.of(1, 20), 1,
                      ExtendedReal.of(-1, 20), "bad")
+
+
+# every generated series function with its first index
+SERIES_FIRST = [
+    ("gamma_vacca_alternating", 2), ("log4pi_alternating", 2), ("gamma_paired", 1),
+    ("log4pi_paired", 1), ("gamma_addison", 1), ("log2pi_dual", 1),
+    ("combined_pochti", 1), ("log2_series", 1), ("pochtipochti_series", 1),
+    ("main_series", 3),
+]
+
+
+@pytest.mark.parametrize("name,first", SERIES_FIRST)
+def test_generated_series_function(name, first):
+    fn = getattr(digit_series, name)
+    assert fn.__name__ == name
+    assert fn.__doc__.strip()
+    params = inspect.signature(fn).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        ("N", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("exact_limit", inspect.Parameter.POSITIONAL_OR_KEYWORD, 100_000),
+        ("precision", inspect.Parameter.POSITIONAL_OR_KEYWORD, 50),
+    ]
+    assert fn(first).series_id == name
+    with pytest.raises(DomainError, match=f"^{name} requires N >= {first}$"):
+        fn(first - 1)
+
+
+@pytest.mark.parametrize("name,first", SERIES_FIRST)
+def test_exact_limit_below_one_rejected(name, first):
+    fn = getattr(digit_series, name)
+    N = first + 20
+    for bad in (0, -3):
+        with pytest.raises(DomainError):
+            fn(N, exact_limit=bad)
+    # one exact term, the rest in fixed point: still encloses the exact sum
+    cont, exact = fn(N, exact_limit=1), fn(N, exact_limit=N)
+    assert exact.is_exact_rational() and not cont.is_exact_rational()
+    enclosure = cont.enclosure()
+    assert _exact(enclosure.lower.value) <= exact.partial_sum <= _exact(enclosure.upper.value)

@@ -65,6 +65,8 @@ class RunConfig:
             raise DomainError("precision must be >= 15")
         if self.terms is not None and self.terms < 1:
             raise DomainError("terms must be >= 1")
+        if self.zeros_height is not None and not self.zeros_height > 0:
+            raise DomainError("height must be > 0")
         if self.output_format not in ("json", "csv", "text"):
             raise DomainError(f"unknown format {self.output_format!r}")
 
@@ -107,7 +109,7 @@ def _config(args) -> RunConfig:
 def _get_zeros(config: RunConfig, default_height: float = 100.0) -> ZeroTable:
     if config.zeros_file:
         return load_zero_table(config.zeros_file, precision=config.precision)
-    height = config.zeros_height or default_height
+    height = default_height if config.zeros_height is None else config.zeros_height
     return find_zeros(height, precision=config.precision)
 
 
@@ -256,7 +258,7 @@ def cmd_li(n_max: int, config: RunConfig) -> int:
 
 def cmd_gn(n: int, k: Optional[int], config: RunConfig) -> int:
     zeros = _get_zeros(config)
-    K = k or len(zeros)
+    K = len(zeros) if k is None else k
     r = criteria.gn_multisum(n, zeros, K, config.precision)
     row = {"n": n, "zeros_used": K,
            "value": r.value().to_decimal_string(config.precision),

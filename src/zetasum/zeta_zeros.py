@@ -1,6 +1,7 @@
 """Critical-line zeta machinery: Hardy Z evaluation, sign-scan zero
-finding, external zero-table ingestion, and the Riemann-von Mangoldt count
-check that guards against missed zeros.
+finding with Illinois regula falsi refinement, external zero-table
+ingestion, and the Riemann-von Mangoldt count check that guards against
+missed zeros.
 
 All zeros are represented by their positive ordinate gamma with the point
 taken as 1/2 + i*gamma; every known zero in the supported height range lies
@@ -11,7 +12,7 @@ sums can use.  Reports built on these tables inherit that assumption.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc, workdps
@@ -181,7 +182,8 @@ def _density(t: float) -> float:
 
 
 def _scan_brackets(z, t_lo: float, t_hi: float, shrink: int = 1):
-    """Sign-change brackets of z on [t_lo, t_hi] using a density-scaled grid."""
+    """Sign-change brackets (lo, hi, z(lo), z(hi)) of z on [t_lo, t_hi]
+    using a density-scaled grid."""
     brackets = []
     t = t_lo
     z_prev = z(mpf(t))
@@ -190,24 +192,48 @@ def _scan_brackets(z, t_lo: float, t_hi: float, shrink: int = 1):
         t_next = min(t + step, t_hi)
         z_next = z(mpf(t_next))
         if (z_prev < 0) != (z_next < 0):
-            brackets.append((t, t_next))
+            brackets.append((t, t_next, z_prev, z_next))
         t, z_prev = t_next, z_next
     return brackets
 
 
-def _bisect(z, lo: float, hi: float, tol: float) -> mpf:
-    a, b = mpf(lo), mpf(hi)
-    fa = z(a)
-    for _ in range(200):
+REFINE_MAX_EVALS = 100
+
+
+def _refine(z, lo: float, hi: float, z_lo: mpf, z_hi: mpf, tol: float) -> mpf:
+    """Midpoint of a sign-change bracket of z inside [lo, hi] no wider than
+    tol, by regula falsi with the Illinois modification (Dowell & Jarratt,
+    BIT 11, 1971).
+
+    Each secant point is clamped tol/4 inside the current bracket, so the
+    bracket shrinks on every evaluation and closes once the secant estimate
+    is within tol/4 of the zero.  Raises ArithmeticError if the bracket is
+    still wider than tol after REFINE_MAX_EVALS evaluations.
+    """
+    a, b, fa, fb = mpf(lo), mpf(hi), z_lo, z_hi
+    margin = mpf(tol) / 4
+    moved = None  # the end that moved last: "a" or "b"
+    for _ in range(REFINE_MAX_EVALS):
         if b - a <= tol:
-            break
-        m = (a + b) / 2
+            return (a + b) / 2
+        m = b - fb * (b - a) / (fb - fa)
+        m = min(max(m, a + margin), b - margin)
         fm = z(m)
         if (fa < 0) != (fm < 0):
-            b = m
+            b, fb = m, fm
+            if moved == "b":
+                fa /= 2  # a stayed twice: halve its value (Illinois step)
+            moved = "b"
         else:
             a, fa = m, fm
-    return (a + b) / 2
+            if moved == "a":
+                fb /= 2
+            moved = "a"
+    if b - a <= tol:
+        return (a + b) / 2
+    raise ArithmeticError(
+        f"zero refinement in [{lo}, {hi}] did not reach width {tol} "
+        f"in {REFINE_MAX_EVALS} evaluations")
 
 
 def find_zeros(
@@ -215,13 +241,20 @@ def find_zeros(
     refine_tol: float = 1e-9,
     precision: int = DEFAULT_PRECISION,
 ) -> ZeroTable:
-    """All critical-line zeros with ordinate <= t_max, by grid sign scan
-    plus bisection, validated against the Riemann-von Mangoldt count.
+    """All critical-line zeros with ordinate in (0, t_max], by a grid sign
+    scan of Hardy Z and Illinois regula falsi on each sign-change bracket,
+    validated against the Riemann-von Mangoldt count.
 
-    On a failed count check the range is rescanned at a quarter of the grid
-    step before giving up with MissedZeroError.
+    Each ordinate is the midpoint of a bracket no wider than refine_tol
+    across which Z changes sign.  On a failed count check the range is
+    rescanned at a quarter of the grid step before giving up with
+    MissedZeroError; a rescan bracket that strictly contains the whole
+    refine_tol bracket of exactly one first-pass ordinate reuses that
+    ordinate, and every other bracket is refined.
     """
     t_max = float(t_max)
+    if not t_max > 0:
+        raise DomainError(f"t_max={t_max} must be > 0")
     if t_max > SUPPORTED_HEIGHT:
         raise DomainError(f"t_max={t_max} above supported height {SUPPORTED_HEIGHT}")
     # scanning precision only needs to resolve refine_tol, not the caller's
@@ -230,10 +263,18 @@ def find_zeros(
     with workdps(scan_dps):
         z = _hardy_z_raw
         t_lo = 5.0  # no zeros below the first ordinate 14.13...
+        half_tol = refine_tol / 2
+        ordinates = []
         for shrink in (1, 4):
-            brackets = _scan_brackets(z, t_lo, t_max, shrink)
-            ordinates = [_bisect(z, lo, hi, refine_tol) for lo, hi in brackets]
-            ordinates = [g for g in ordinates if g <= t_max]
+            found, ordinates = ordinates, []
+            for lo, hi, z_lo, z_hi in _scan_brackets(z, t_lo, t_max, shrink):
+                # a first-pass ordinate alone in this bracket, with its whole
+                # refine_tol bracket inside it, already marks its sign change
+                i, j = bisect_right(found, lo), bisect_left(found, hi)
+                if j - i == 1 and lo + half_tol < found[i] < hi - half_tol:
+                    ordinates.append(found[i])
+                else:
+                    ordinates.append(_refine(z, lo, hi, z_lo, z_hi, refine_tol))
             table = ZeroTable(
                 tuple(ExtendedReal(g, precision) for g in ordinates),
                 "computed",

@@ -267,7 +267,7 @@ def test_criterion_10_zero_finder(zeros_table, computed_table_100):
     table = computed_table_100
     count_ok = len(table) == 29
     with workdps(30):
-        tol = mpf("2e-9")  # refine_tol plus bisection midpoint slack
+        tol = mpf("2e-9")  # refine_tol plus slack on the bracket midpoint
         first_ok = abs(table.ordinates[0].value - mpf(GAMMA_1)) < tol
         second_ok = abs(table.ordinates[1].value - mpf(GAMMA_2)) < tol
     counts_ok = all(zero_count_check(zeros_table, T) for T in range(1, 1001))

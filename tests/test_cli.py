@@ -176,6 +176,19 @@ def test_gn_unsupported_n(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ("li", "1", "--height", "0"),
+    ("li", "1", "--height", "-3"),
+    ("zeros", "find", "--height", "0"),
+    ("gn", "1", "--zeros", "0", "--zeros-file", ZEROS_FILE),
+    ("gn", "1", "--zeros", "-5", "--zeros-file", ZEROS_FILE),
+])
+def test_nonpositive_height_or_zeros_usage_error(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
 def test_missing_file_usage_error(capsys):
     code, _, err = run(capsys, "verify", "p0_zeros",
                        "--zeros-file", "/nonexistent/zeros.txt")

@@ -1,8 +1,10 @@
 import pytest
 from mpmath import mp, mpf, workdps
 
+from zetasum import zeta_zeros
 from zetasum.numerics import DomainError, ExtendedReal, _GUARD
 from zetasum.zeta_zeros import (
+    REFINE_MAX_EVALS,
     SUPPORTED_HEIGHT,
     ZeroTable,
     ZeroTableError,
@@ -11,6 +13,7 @@ from zetasum.zeta_zeros import (
     load_zero_table,
     write_zero_table,
     zero_count_check,
+    _refine,
 )
 
 # frozen 35-digit reference values for the Hardy Z function (independent
@@ -58,6 +61,74 @@ def test_find_zeros_100(computed_table_100):
 def test_find_zeros_height_limit():
     with pytest.raises(DomainError):
         find_zeros(SUPPORTED_HEIGHT + 1)
+    for t_max in (0, -3, float("nan")):
+        with pytest.raises(DomainError):
+            find_zeros(t_max)
+
+
+def test_computed_ordinates_bracket_a_sign_change(computed_table_100):
+    with workdps(40):
+        half = mpf("5e-10")
+        for g in computed_table_100.ordinates:
+            below = hardy_z(g.value - half, precision=30).value
+            above = hardy_z(g.value + half, precision=30).value
+            assert (below < 0) != (above < 0), g
+
+
+def _count_calls(monkeypatch, name):
+    """Replace zeta_zeros.<name> by a wrapper that records its calls."""
+    calls = []
+    fn = getattr(zeta_zeros, name)
+    monkeypatch.setattr(zeta_zeros, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
+def test_find_zeros_100_evaluation_budget(monkeypatch):
+    # the finder looks _hardy_z_raw up by name, so the wrapper sees every call
+    z_calls = _count_calls(monkeypatch, "_hardy_z_raw")
+    assert len(find_zeros(100)) == 29
+    assert 0 < len(z_calls) <= 400
+
+
+def test_find_zeros_150_rescan(monkeypatch, zeros_table):
+    checks = _count_calls(monkeypatch, "zero_count_check")
+    z_calls = _count_calls(monkeypatch, "_hardy_z_raw")
+    table = find_zeros(150)
+    # the first pass misses a zero below 150; the quarter-step rescan finds it
+    assert len(checks) == 2
+    # reusing the first pass's ordinates keeps the rescan from re-refining them
+    assert len(z_calls) <= 1300
+    values = [g.value for g in table.ordinates]
+    assert len(values) == 52
+    assert all(a < b for a, b in zip(values, values[1:]))
+    tol = 1e-9 + 1e-12  # refine_tol + ingested claimed accuracy
+    for a, b in zip(zeros_table.ordinates[:52], values):
+        assert abs(a.value - b) < tol
+
+
+def test_refine_illinois():
+    def z(t):
+        return mp.exp(20 * t) - 2
+
+    # plain regula falsi keeps the right end here and creeps up from the
+    # left by about tol/4 a step, so it would run into the evaluation cap
+    with workdps(17):
+        g = _refine(z, 0.0, 1.0, z(mpf(0)), z(mpf(1)), 1e-9)
+        assert abs(g - mp.ln(2) / 20) <= mpf("5e-10")
+
+
+def test_refine_raises_when_width_unreachable():
+    calls = []
+
+    def z(t):
+        calls.append(t)
+        return t - mpf(1) / 3
+
+    # at 15 digits no bracket around 1/3 is 1e-40 wide
+    with workdps(15):
+        with pytest.raises(ArithmeticError):
+            _refine(z, 0.0, 1.0, z(mpf(0)), z(mpf(1)), 1e-40)
+    assert len(calls) == 2 + REFINE_MAX_EVALS
 
 
 def test_zero_count_check(computed_table_100):

@@ -12,6 +12,7 @@ tolerance than plain series results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import Optional
 
 from mpmath import mp, mpf, mpc, workdps
@@ -27,7 +28,9 @@ from .numerics import (
     target_constant,
 )
 from .digit_series import (
+    _FIXED_GUARD_BITS,
     SeriesResult,
+    _from_fixed,
     combined_pochti,
     gamma_addison,
     log2_series,
@@ -45,6 +48,9 @@ from .special_series import (
 from .zeta_zeros import ZeroTable
 
 MAX_LI_INDEX = 1000
+
+# the c of li_lambda's fixed-point width c n^2 K, in units of 2^-B
+_LI_ROUNDING = 32
 
 
 @dataclass(frozen=True)
@@ -156,41 +162,83 @@ def li_lambda(
     """Keiper-Li coefficient lambda_n = sum over zeros of 1 - (1-1/rho)^n,
     folded over conjugate pairs as 2 Re(1 - (1 - 1/rho)^n).
 
-    For large ordinates the paired term behaves like n/(1/4 + gamma^2), so
-    the density tail correction is n times the zero_sum_p0 one (halved);
-    its remainder bound scales the fluctuation slack by n and adds an
-    n^2/T^2 term from the next order of the expansion.
+    On the critical line 1 - 1/rho = e^{2it} with t = atan(1/(2 gamma)), so
+    the paired term is 2 v_n with v_n = 1 - cos(2nt) = 2 sin^2(nt).  With
+    x = 1/(1/4 + gamma^2), v_1 = x/2 and 0 <= v_n <= n^2 x/2, since
+    |sin nt| <= n |sin t|: for large gamma the term behaves like n^2 x.
+
+    Each v_n is computed in fixed point with B fraction bits: one integer
+    division gives v_1 from the ordinate's exact mantissa and exponent, and
+    a Lucas ladder over the bits of n applies the Chebyshev rules
+    v_{2k} = 4 v_k - 2 v_k^2 and
+    v_{2k+1} = 2(v_k + v_{k+1} - v_k v_{k+1}) - v_1,
+    flooring every product: O(log n) integer operations per zero, with no
+    complex powers and no cancellation.
+
+    Rounding: v_1 errs by less than one unit of 2^-B and each step's floor
+    by less than two.  The rules' partial derivatives are 2 cos(2kt), so a
+    level takes the pair's error E to at most 4E + 3.  Over the
+    L = bit_length(n) levels from (v_0, v_1) = (0, v_1) the error stays
+    below 2 * 4^L <= 8 n^2 units, n^2 being also the Lipschitz factor
+    |dv_n/dv_1| of the whole ladder.  The paired sum over K zeros thus errs
+    by less than 16 n^2 K units; c = _LI_ROUNDING = 32 doubles that to cover
+    rounded cosines exceeding 1.  B = working bits + (c n^2 K).bit_length()
+    + 8, and c n^2 K units plus one ulp of the conversion go into the tail
+    bound.
+
+    Tail: every omitted term lies in [0, n^2 x].  With D the density
+    integral of x above the table height T and F the heuristic fluctuation
+    slack, the uncorrected bound is n^2 (D + F).  The correction adds
+    n^2 D, with remainder bound n^2 F + n^2(n^2 - 1)/12 (D + F)/(1/4 + T^2),
+    which rests on
+
+        4 sin^2(nt) >= n^2 x - n^2(n^2 - 1) x^2 / 12   for every t.
+
+    It is an equality at n = 1, 2.  Where x <= 56/(n^2 - 9) (everywhere for
+    n <= 3) it follows from Taylor's theorem for T_n at 1 with V. Markov's
+    bound |T_n''''| <= T_n''''(1) on [-1, 1]; where x > 12/(n^2 - 1) its
+    right side is negative.
     """
     if n < 1:
         raise DomainError("li_lambda requires n >= 1")
     if n > MAX_LI_INDEX:
         raise DomainError(
-            f"li_lambda index {n} > {MAX_LI_INDEX}: (1 - 1/rho)^n would lose "
-            "all working precision")
+            f"li_lambda index {n} > {MAX_LI_INDEX}: the n^2 density tail "
+            "correction assumes n much smaller than the table height")
     if len(zeros) == 0:
         raise DomainError("li_lambda requires a nonempty zero table")
     with workdps(precision + _GUARD):
-        half = mpf(1) / 2
-        acc = mp.zero
+        n2 = n * n
+        floors = _LI_ROUNDING * n2 * len(zeros)
+        B = mp.prec + floors.bit_length() + _FIXED_GUARD_BITS
+        ladder = [bit == "1" for bit in bin(n)[3:]]
+        acc = 0
         for g in zeros.ordinates:
-            rho = mpc(half, g.value)
-            base = 1 - 1 / rho
-            if n > 50:
-                # exponential-of-log keeps the error additive in n
-                pw = mp.exp(n * mp.log(base))
+            # v_1 = x/2 = 2/(4 m^2 2^(2e) + 1) for gamma = m 2^e
+            m, e = g.value.man_exp
+            if e < 0:
+                v1 = (1 << (B + 1 - 2 * e)) // ((m * m << 2) + (1 << -2 * e))
             else:
-                pw = base ** n
-            acc += 2 * (1 - pw).real
+                v1 = (1 << (B + 1)) // ((m * m << (2 + 2 * e)) + 1)
+            a, b = v1, 4 * v1 - 2 * (v1 * v1 >> B)  # (v_k, v_{k+1}) at k = 1
+            for odd in ladder:
+                mixed = 2 * (a + b - (a * b >> B)) - v1
+                if odd:
+                    a, b = mixed, 4 * b - 2 * (b * b >> B)
+                else:
+                    a, b = 4 * a - 2 * (a * a >> B), mixed
+            acc += a
+        value, rounding = _from_fixed(2 * acc, B, floors)
         T = zeros.max_ordinate()
-        fluct = n * _fluctuation_bound(T) + mpf(n) * n / (T * T)
+        D, fluct = _density_tail(T), _fluctuation_bound(T)
         if with_tail_correction:
-            acc += n * _density_tail(T)
-            bound = fluct
+            value += n2 * D
+            bound = n2 * fluct + mpf(n2 * (n2 - 1)) / 12 * (D + fluct) / (mpf(1) / 4 + T * T)
         else:
-            bound = n * _density_tail(T) + fluct
-        bound += mpf(10) ** (-(precision - 2))
+            bound = n2 * (D + fluct)
+        bound += rounding + mpf(10) ** (-(precision - 2))
         return SeriesResult(
-            ExtendedReal(acc, precision),
+            ExtendedReal(value, precision),
             len(zeros),
             ExtendedReal(bound, precision),
             f"li_lambda[{n}]",
@@ -226,12 +274,13 @@ def gn_multisum(
     G_n(z_1..z_n) = prod_j x_j * prod_{j<k} (x_j - x_k)^2 with
     x = 1/(z(1-z)).
 
-    On-line zeros make every x_j real and positive.  n=1 is exactly half of
-    the uncorrected zero_sum_p0.  n=2 collapses via power sums to
-    2(p1 p3 - p2^2); n=3 runs over ordered triples j<k<l times 3! since the
-    squared-difference factors kill every diagonal.  Tail bounds come from
-    the density tail of sum x_j scaled by crude sup bounds on the remaining
-    factors.
+    On-line zeros make every x_j real and positive.  By Heine's (Andreief's)
+    identity (Szego, Orthogonal Polynomials, section 2.1) the ordered n-fold
+    sum equals n! det[p_{i+j+1}]_{i,j<n}, the Hankel determinant of the
+    power sums p_m = sum_j x_j^m, m = 1..2n-1: n = 1 gives p1, exactly half
+    of the uncorrected zero_sum_p0, and n = 2 gives 2(p1 p3 - p2^2).  Tail
+    bounds come from the density tail of sum x_j scaled by crude sup bounds
+    on the remaining factors.
     """
     if n not in (1, 2, 3):
         raise DomainError("gn_multisum supports n in {1, 2, 3}")
@@ -242,25 +291,15 @@ def gn_multisum(
         T = zeros.ordinates[K - 1].value
         tail1 = _density_tail(T) + _fluctuation_bound(T)
         x_max = xs[0]
-        p1 = mp.fsum(xs)
+        p = [mp.fsum(x ** m for x in xs) for m in range(1, 2 * n)]
+        total = factorial(n) * mp.det([[p[i + j] for j in range(n)] for i in range(n)])
+        p1 = p[0]
         if n == 1:
-            total = p1
             bound = tail1
         elif n == 2:
-            p2 = mp.fsum(x * x for x in xs)
-            p3 = mp.fsum(x ** 3 for x in xs)
-            total = 2 * (p1 * p3 - p2 * p2)
             # a new index j > K contributes sum_k 2 x_j x_k (x_j-x_k)^2
             bound = 4 * x_max ** 2 * (p1 + tail1) * tail1
         else:
-            total = mp.zero
-            for j in range(K):
-                for k in range(j + 1, K):
-                    djk = (xs[j] - xs[k]) ** 2
-                    base = xs[j] * xs[k] * djk
-                    for l in range(k + 1, K):
-                        total += base * xs[l] * (xs[j] - xs[l]) ** 2 * (xs[k] - xs[l]) ** 2
-            total *= 6
             bound = 18 * x_max ** 4 * (p1 + tail1) ** 2 * tail1
         bound += mpf(10) ** (-(precision - 2)) * max(1, abs(total))
         return SeriesResult(

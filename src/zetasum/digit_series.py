@@ -153,6 +153,15 @@ class _Spec(NamedTuple):
     positive: bool = False
 
 
+def _from_fixed(acc: int, B: int, floors: int) -> Tuple[mpf, mpf]:
+    """acc * 2^-B as an mpf rounded down, and the rounding width: floors
+    units of 2^-B lost by the floors that built acc, plus one ulp of the
+    conversion, at the working precision."""
+    value = mp.ldexp(mpf(acc, rounding="f"), -B)
+    ulps = floors + (1 << max(0, acc.bit_length() - mp.prec))
+    return value, mp.ldexp(ulps, -B)
+
+
 def _sum_series(spec: _Spec, last: int, exact_limit: int, precision: int) -> SeriesResult:
     """Sum term(first..last) + offset, exactly while the term count allows.
 
@@ -179,9 +188,8 @@ def _sum_series(spec: _Spec, last: int, exact_limit: int, precision: int) -> Ser
         for n in range(exact_last + 1, last + 1):
             p, q = term(n)
             acc += (p << B) // q
-        value = mp.ldexp(mpf(acc, rounding="f"), -B)
-        ulps = floors + (1 << max(0, acc.bit_length() - mp.prec))
-        bound = ExtendedReal(bound.value + mp.ldexp(ulps, -B), precision)
+        value, width = _from_fixed(acc, B, floors)
+        bound = ExtendedReal(bound.value + width, precision)
         return SeriesResult(ExtendedReal(value, precision), n_terms, bound, spec.name,
                             spec.positive)
 

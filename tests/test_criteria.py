@@ -105,6 +105,74 @@ def test_li_lambda_large_n_exp_log_branch(zeros_table):
     assert 0 < a < b < 2 * a
 
 
+# lambda_n from mpmath at 40 digits,
+# diff(lambda s: s**(n-1) * ln xi(s), 1, n, singular=True) / (n-1)!
+LI_REFERENCE = {2: "0.092345735228", 3: "0.207638920554",
+                5: "0.575542714461", 10: "2.27933936319"}
+
+
+@pytest.mark.parametrize("n", sorted(LI_REFERENCE))
+def test_li_lambda_tail_scales_as_n_squared(n, zeros_table):
+    # the omitted zeros contribute about n^2 times lambda_1's tail: the
+    # corrected value must be within its bound of lambda_n, and the raw sum
+    # below lambda_n by no more than its bound
+    with workdps(60):
+        ref = mpf(LI_REFERENCE[n])
+        cor = li_lambda(n, zeros_table, with_tail_correction=True)
+        assert abs(cor.value().value - ref) <= cor.tail_bound.value
+        raw = li_lambda(n, zeros_table, with_tail_correction=False)
+        assert raw.value().value < ref <= raw.value().value + raw.tail_bound.value
+
+
+def _li_oracle(gamma: mpf, n: int) -> mpf:
+    with workdps(60):
+        rho = mpc(mpf(1) / 2, gamma)
+        return 2 * (1 - (1 - 1 / rho) ** n).real
+
+
+@pytest.mark.parametrize("gamma", ["14.134725141734693", "1000", "9877.78"])
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 51, 64, 1000])
+def test_li_lambda_ladder_matches_complex_power(gamma, n):
+    # the fixed-point ladder against 2 Re(1 - (1 - 1/rho)^n) in mpc; the
+    # difference must stay within the rounding width: c n^2 K units of 2^-B
+    # (under 2^-(prec + 8)) plus one ulp of the conversion
+    table = ZeroTable((ExtendedReal.of(gamma, 30),), "ingested", ExtendedReal.of(1e-18, 30))
+    r = li_lambda(n, table, with_tail_correction=False, precision=30)
+    with workdps(40):
+        prec = mp.prec
+    with workdps(60):
+        v = r.value().value
+        width = mp.ldexp(1, -(prec + 8)) + abs(v) * mp.ldexp(1, 1 - prec)
+        assert abs(v - _li_oracle(table.ordinates[0].value, n)) <= width
+
+
+def test_li_lambda_encloses_complex_power_sum(zeros_table):
+    sub = zeros_table.truncated(200)
+    for n in range(1, 13):
+        r = li_lambda(n, sub, with_tail_correction=False, precision=30)
+        with workdps(60):
+            oracle = mp.fsum(_li_oracle(g.value, n) for g in sub.ordinates)
+            v, b = r.value().value, r.tail_bound.value
+            assert v - b <= oracle <= v + b
+
+
+def test_gn3_matches_ordered_triple_loop(zeros_table):
+    # Heine's identity against the ordered sum over j < k < l, times 3!
+    K = 30
+    r = gn_multisum(3, zeros_table, K)
+    with workdps(60):
+        q = mpf(1) / 4
+        xs = [1 / (q + g.value ** 2) for g in zeros_table.ordinates[:K]]
+        total = mp.zero
+        for j in range(K):
+            for k in range(j + 1, K):
+                base = xs[j] * xs[k] * (xs[j] - xs[k]) ** 2
+                for l in range(k + 1, K):
+                    total += base * xs[l] * (xs[j] - xs[l]) ** 2 * (xs[k] - xs[l]) ** 2
+        total *= 6
+        assert abs(r.value().value - total) <= mpf(10) ** -35 * total
+
+
 def test_g_value_half():
     assert float(g_value(mpf(1) / 2)) == 4.0
 

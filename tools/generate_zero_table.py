@@ -26,7 +26,8 @@ def main():
         with open(out, "w") as fh:
             fh.write("# Ordinates of the first nontrivial zeros of the Riemann zeta\n")
             fh.write("# function, computed with mpmath.zetazero at 20 decimal digits.\n")
-            fh.write("# Accuracy: better than 1e-12. One ascending ordinate per line.\n")
+            fh.write("# Rows carry 15 significant digits: up to 5e-12 of rounding above 1000,\n")
+            fh.write("# up to 5e-13 below. One ascending ordinate per line.\n")
     t0 = time.time()
     with open(out, "a") as fh:
         for k in range(done + 1, count + 1):

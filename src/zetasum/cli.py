@@ -148,7 +148,7 @@ def cmd_constants(config: RunConfig) -> int:
     s = log2_series(N, precision=p)
     routes = [  # (constant, label, SeriesResult)
         ("gamma", "gamma_addison", gamma_addison(N, precision=p)),
-        ("gamma", "stieltjes[0]", stieltjes(StieltjesRequest(0, max(N // 10, 1000)), p)),
+        ("gamma", "stieltjes[0]", stieltjes(StieltjesRequest(0), p)),
         ("ln(4/pi)", "log4pi_paired", lp),
         ("ln(4/pi)", "log4pi_alternating", log4pi_alternating(2 * N + 1, precision=p)),
         ("ln 2", "3/4 - log2_series",

@@ -12,7 +12,7 @@ tolerance than plain series results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, fsum
 from typing import Optional
 
 from mpmath import mp, mpf, mpc, workdps
@@ -114,6 +114,14 @@ def zero_sum_p0(
     bound shrinks to the fluctuation slack 4 ln(T)/T^2; without it the
     bound is the correction plus that slack, and partial sums increase
     monotonically from below.
+
+    Either way the bound also carries the table's claimed accuracy delta:
+    |d/dg 1/(1/4 + g^2)| = 2g/(1/4 + g^2)^2 < 2/g^3, and both the true
+    ordinate and the mean-value point lie within delta of the listed g, so
+    each pair, counted twice, moves the sum by less than
+    4 delta/(g - delta)^3 <= 4 delta (g1/(g1 - delta))^3 / g^3, g1 the
+    first ordinate.  sum g^-3 is taken in floats: each term and fsum round
+    at most four times by 2^-53, which the factor 1 + 2^-48 covers.
     """
     if len(zeros) == 0:
         raise DomainError("zero_sum_p0 requires a nonempty zero table")
@@ -123,6 +131,10 @@ def zero_sum_p0(
         for g in zeros.ordinates:
             acc += 1 / (quarter + g.value * g.value)
         acc *= 2
+        delta = zeros.claimed_accuracy.value
+        g1 = zeros.ordinates[0].value
+        inv_cubes = fsum(float(g.value) ** -3 for g in zeros.ordinates)
+        moved = 4 * delta * (g1 / (g1 - delta)) ** 3 * inv_cubes * (1 + mpf(2) ** -48)
         T = zeros.max_ordinate()
         fluct = _fluctuation_bound(T)
         if with_tail_correction:
@@ -130,7 +142,7 @@ def zero_sum_p0(
             bound = fluct
         else:
             bound = 2 * _density_tail(T) + fluct
-        bound += mpf(10) ** (-(precision - 2))
+        bound += moved + mpf(10) ** (-(precision - 2))
         return SeriesResult(
             ExtendedReal(acc, precision),
             len(zeros),

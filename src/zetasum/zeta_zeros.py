@@ -54,6 +54,9 @@ class ZeroTable:
     def __post_init__(self):
         if self.source not in ("computed", "ingested"):
             raise DomainError(f"unknown zero-table source {self.source!r}")
+        acc = self.claimed_accuracy.value
+        if acc < 0 or (self.ordinates and acc >= self.ordinates[0].value):
+            raise DomainError("claimed accuracy must be >= 0 and below the first ordinate")
         prev = mpf(0)
         for g in self.ordinates:
             v = g.value

@@ -108,6 +108,12 @@ def test_constants_json_two_routes_each(capsys):
                      "gamma - ln(4 pi) + 2"}
     for c in doc["constants"]:
         assert len(c["routes"]) >= 2
+    # stieltjes[0] is the certified default whatever --terms says
+    gamma = {r["label"]: r for r in doc["constants"][0]["routes"]}
+    s0 = gamma["stieltjes[0]"]
+    assert s0["terms"] == 200
+    assert float(s0["tail_bound"]) < 1e-47
+    assert s0["value"].startswith("0.577215664901532860606512090082402431042159335939")
 
 
 def test_zeros_find_check_export(capsys, tmp_path):

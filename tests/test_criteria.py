@@ -56,6 +56,21 @@ def test_zero_sum_corrected_hits_target(zeros_table):
         assert err < r.tail_bound.value
 
 
+def test_zero_sum_bound_carries_claimed_accuracy(zeros_table):
+    # the bound grows by 4 delta sum g^-3, rounded up: by at least the
+    # rigorous 4 delta sum (g - delta)^-3, which exceeds it by about
+    # 3 delta/g1 relative, and by no more than that
+    delta = zeros_table.claimed_accuracy.value
+    for table, corrected in ((zeros_table, True), (zeros_table.truncated(100), False)):
+        exact = ZeroTable(table.ordinates, table.source, ExtendedReal.of(0, 50))
+        grew = zero_sum_p0(table, corrected).tail_bound.value - \
+            zero_sum_p0(exact, corrected).tail_bound.value
+        with workdps(100):
+            amount = 4 * delta * mp.fsum(g.value ** -3 for g in table.ordinates)
+            rigorous = 4 * delta * mp.fsum((g.value - delta) ** -3 for g in table.ordinates)
+            assert amount < rigorous <= grew <= amount * (1 + mpf("1e-10"))
+
+
 def test_tail_correction_record(zeros_table):
     tc = tail_correction_p0(zeros_table.truncated(100))
     assert isinstance(tc, TailCorrection)
@@ -97,8 +112,9 @@ def test_li_lambda_validation(zeros_table):
         li_lambda(1, ZeroTable((), "computed", ExtendedReal.of(1e-9, 20)))
 
 
-def test_li_lambda_large_n_exp_log_branch(zeros_table):
-    # n just above and below the exponential-of-log switch agree in scale
+def test_li_lambda_neighbouring_large_n_same_scale(zeros_table):
+    # two neighbouring large n over 100 zeros: both sums positive, and
+    # lambda_51 above lambda_50 by less than a factor of two
     sub = zeros_table.truncated(100)
     a = li_lambda(50, sub, False).value().value
     b = li_lambda(51, sub, False).value().value

@@ -1,9 +1,13 @@
+from itertools import islice
+
 import pytest
 from mpmath import mp, mpf, workdps
 
 from zetasum.numerics import DomainError, quadrature, target_constant
 from zetasum.special_series import (
     StieltjesRequest,
+    _em_remainder_bound,
+    _log_power_derivative_coeffs,
     p01_integral,
     p01_integrand,
     p01_term,
@@ -30,8 +34,10 @@ def test_stieltjes_request_validation():
         StieltjesRequest(9)
     with pytest.raises(DomainError):
         StieltjesRequest(0, n_terms=5)
-    with pytest.raises(DomainError):
-        StieltjesRequest(0, correction_order=3)
+    for order in (3, 0, -2):
+        with pytest.raises(DomainError):
+            StieltjesRequest(0, correction_order=order)
+    assert StieltjesRequest(0, correction_order=40).correction_order == 40
 
 
 def test_stieltjes_gamma0():
@@ -53,6 +59,69 @@ def test_stieltjes_tail_bound_sound():
         big = stieltjes(StieltjesRequest(m, 50_000), 30)
         diff = abs(small.value().value - big.value().value)
         assert diff <= small.tail_bound.value
+
+
+@pytest.fixture(scope="module")
+def stieltjes_reference():
+    with workdps(100):
+        return [mp.stieltjes(m) for m in range(9)]
+
+
+def _encloses(r, ref):
+    with workdps(110):
+        return abs(r.value().value - ref) <= r.tail_bound.value
+
+
+@pytest.mark.parametrize("m, N", [(5, 1000), (8, 100)])
+def test_stieltjes_bound_holds_past_sign_changes(m, N, stieltjes_reference):
+    # at order 4, f^(6) changes sign beyond N here, and the error exceeds
+    # the first omitted correction (6.7017e-19 against 6.7016e-19 at
+    # (5, 1000), 1.00631e-11 against 1.00621e-11 at (8, 100))
+    r = stieltjes(StieltjesRequest(m, N, correction_order=4))
+    assert _encloses(r, stieltjes_reference[m])
+
+
+@pytest.mark.parametrize("p", [30, 50, 80])
+def test_stieltjes_defaults_certified(p, stieltjes_reference):
+    for m in range(9):
+        r = stieltjes(StieltjesRequest(m), p)
+        assert r.terms_used == 4 * p
+        assert _encloses(r, stieltjes_reference[m])
+        assert r.tail_bound.value < mpf(10) ** -(p - 3)
+
+
+def test_stieltjes_explicit_request_honoured():
+    for req in (StieltjesRequest(3, 137), StieltjesRequest(3, 137, 6),
+                StieltjesRequest(8, 2000, 40)):
+        assert stieltjes(req, 30).terms_used == req.n_terms
+    # the order is used as given: order 2 at N = 10 is far coarser
+    assert stieltjes(StieltjesRequest(0, 10, 2), 30).tail_bound.value > mpf(10) ** -8
+
+
+@pytest.mark.parametrize("m, N, p", [(0, 10, 4), (0, 200, 42), (2, 50, 6),
+                                     (5, 1000, 6), (8, 100, 6), (8, 12, 10)])
+def test_em_remainder_majorant(m, N, p):
+    # the majorant is at least the DLMF 2.10.1 bound 2|B_p|/p! times
+    # int_N^inf |f^(p)| = N^-p/p int_0^inf |P(ln N + v/p)| e^-v dv, with
+    # P(u) = sum_a c_a u^a, taken by quadrature split where P changes sign;
+    # for m = 0 the two are equal, twice the first omitted correction
+    # |B_p| N^-p / p
+    with workdps(40):
+        c = list(islice(_log_power_derivative_coeffs(m), p + 1))[p]
+        ln_N = mp.ln(N)
+        bound = _em_remainder_bound(c, p, N, ln_N)
+        poly = [c.get(a, 0) for a in range(max(c), -1, -1)]
+        roots = mp.polyroots(poly, maxsteps=200, extraprec=200) if m else []
+        cuts = sorted(p * (mp.re(r) - ln_N) for r in roots
+                      if abs(mp.im(r)) < mpf(10) ** -20 and mp.re(r) > ln_N)
+        integrand = lambda v: abs(mp.polyval(poly, ln_N + v / p)) * mp.exp(-v)
+        dlmf = 2 * abs(mp.bernoulli(p)) / mp.factorial(p) / (p * mpf(N) ** p) * \
+            mp.quad(integrand, [0] + cuts + [mp.inf])
+        assert dlmf <= bound * (1 + mpf(10) ** -30)
+        if m == 0:
+            assert abs(bound - dlmf) <= bound * mpf(10) ** -30
+            assert abs(bound - 2 * abs(mp.bernoulli(p)) / (p * mpf(N) ** p)) \
+                <= bound * mpf(10) ** -30
 
 
 def test_p01_term_frozen():

@@ -158,6 +158,10 @@ def test_table_invariants():
         ZeroTable(good, "guessed", acc)
     with pytest.raises(DomainError):
         ZeroTable((), "computed", acc).max_ordinate()
+    # an accuracy must be a nonnegative width below the first ordinate
+    for bad in (-1e-9, 14.1, 20.0):
+        with pytest.raises(DomainError):
+            ZeroTable(good, "computed", ExtendedReal.of(bad, 20))
 
 
 def test_count_below_matches_linear_count(zeros_table):

@@ -1,7 +1,12 @@
-"""Critical-line zeta machinery: Hardy Z evaluation, sign-scan zero
-finding with Illinois regula falsi refinement, external zero-table
-ingestion, and the Riemann-von Mangoldt count check that guards against
-missed zeros.
+"""Critical-line zeta machinery: Hardy Z evaluation, a Gram-point zero
+finder whose zero count is proven by Rosser's rule and Turing's method in
+Brent's explicit form, Illinois regula falsi refinement, external
+zero-table ingestion, and the Riemann-von Mangoldt count check (a
+cross-check on computed tables, the only check on ingested ones).
+
+The count proof takes the signs of Z as given.  They come from the
+Euler-Maclaurin evaluation at the scan precision, which carries no
+certified error bound.
 
 All zeros are represented by their positive ordinate gamma with the point
 taken as 1/2 + i*gamma; every known zero in the supported height range lies
@@ -12,7 +17,7 @@ sums can use.  Reports built on these tables inherit that assumption.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc, workdps
@@ -29,7 +34,9 @@ COUNT_CHECK_SLACK = 2.0
 
 
 class MissedZeroError(RuntimeError):
-    """Zero count disagrees with the Riemann-von Mangoldt estimate."""
+    """A Gram block shows fewer sign changes of Z than Rosser's rule puts
+    there, or a zero count disagrees with the Riemann-von Mangoldt
+    estimate."""
 
 
 class ZeroTableError(ValueError):
@@ -82,15 +89,27 @@ class ZeroTable:
 # Hardy Z via Euler-Maclaurin on the critical line
 
 _lnn_cache: dict = {}
+_em_coeff_cache: dict = {}
 
 
 def _ln_table(N: int):
-    """Cached (ln n, n^-1/2) pairs for 1..N at the current precision."""
-    key = mp.dps
-    tab = _lnn_cache.setdefault(key, [])
+    """Cached (ln n, n^-1/2) pairs for 1..N at the current precision.
+
+    Keyed by mp.prec: binary precisions 60 and 61 both read as dps 17.
+    """
+    tab = _lnn_cache.setdefault(mp.prec, [])
     for n in range(len(tab) + 1, N + 1):
         tab.append((mp.ln(n), 1 / mp.sqrt(n)))
     return tab
+
+
+def _em_coefficient(k: int) -> mpf:
+    """B_2k / (2k)!, cached per precision like _ln_table."""
+    tab = _em_coeff_cache.setdefault(mp.prec, [])
+    while len(tab) < k:
+        j = 2 * (len(tab) + 1)
+        tab.append(mp.bernoulli(j) / mp.factorial(j))
+    return tab[k - 1]
 
 
 def _zeta_half_raw(t: mpf) -> mpc:
@@ -120,7 +139,7 @@ def _zeta_half_raw(t: mpf) -> mpc:
     power = n_pow_minus_s / Nf  # N^(-s-2k+1) for the current k
     prev = None
     for k in range(1, 200):
-        term = mp.bernoulli(2 * k) / mp.factorial(2 * k) * poch * power
+        term = _em_coefficient(k) * poch * power
         total += term
         mag = abs(term)
         if mag < eps * abs(total):
@@ -180,26 +199,6 @@ def zero_count_check(table: ZeroTable, T) -> bool:
         return abs(table.count_below(t) - est) < COUNT_CHECK_SLACK
 
 
-def _density(t: float) -> float:
-    return math.log(max(t, 7.0) / (2 * math.pi)) / (2 * math.pi)
-
-
-def _scan_brackets(z, t_lo: float, t_hi: float, shrink: int = 1):
-    """Sign-change brackets (lo, hi, z(lo), z(hi)) of z on [t_lo, t_hi]
-    using a density-scaled grid."""
-    brackets = []
-    t = t_lo
-    z_prev = z(mpf(t))
-    while t < t_hi:
-        step = min(1.0, 0.5 / max(_density(t), 0.05)) / shrink
-        t_next = min(t + step, t_hi)
-        z_next = z(mpf(t_next))
-        if (z_prev < 0) != (z_next < 0):
-            brackets.append((t, t_next, z_prev, z_next))
-        t, z_prev = t_next, z_next
-    return brackets
-
-
 REFINE_MAX_EVALS = 100
 
 
@@ -239,21 +238,93 @@ def _refine(z, lo: float, hi: float, z_lo: mpf, z_hi: mpf, tol: float) -> mpf:
         f"in {REFINE_MAX_EVALS} evaluations")
 
 
+GRAM_NEWTON_MAX = 12
+BLOCK_SEARCH_EVALS = 24
+
+
+def _gram_points():
+    """Gram points (n, g_n) with theta(g_n) = n pi for n = -1, 0, 1, ...
+    at the working precision; g_-1 ~ 9.667 is the larger root of
+    theta = -pi.
+
+    Each is found by Newton on _theta_raw with theta'(t) ~ ln(t/2pi)/2 -
+    1/(48 t^2), started from the previous point plus 2 pi / ln(g/2pi), and
+    stops once a step is below 2^(10 - prec) g.
+    """
+    ln_2pi = mp.ln(2 * mp.pi)
+    rel = mpf(2) ** (10 - mp.prec)
+    n, g = -1, mpf(10)
+    while True:
+        target = n * mp.pi
+        for _ in range(GRAM_NEWTON_MAX):
+            slope = (mp.ln(g) - ln_2pi) / 2 - 1 / (48 * g * g)
+            step = (_theta_raw(g) - target) / slope
+            g -= step
+            if abs(step) <= rel * g:
+                break
+        yield n, g
+        g += 2 * mp.pi / (mp.ln(g) - ln_2pi)
+        n += 1
+
+
+def _block_brackets(z, block: list) -> list:
+    """Sign-change brackets (lo, hi, z(lo), z(hi)) of z in a Gram block,
+    given as [(g, z(g)), ...] from one good Gram point to the next.
+
+    Rosser's rule puts at least len(block) - 1 zeros in the block.  While
+    fewer sign changes are seen, the interval whose end values are smallest
+    for its width is halved; MissedZeroError is raised once
+    BLOCK_SEARCH_EVALS evaluations per Gram interval are spent.
+    """
+    want = len(block) - 1
+    pts, spent = list(block), 0
+    while True:
+        brackets = [(a, b, za, zb) for (a, za), (b, zb) in zip(pts, pts[1:])
+                    if (za < 0) != (zb < 0)]
+        if len(brackets) >= want:
+            return brackets
+        if spent == BLOCK_SEARCH_EVALS * want:
+            raise MissedZeroError(
+                f"Gram block [{float(block[0][0]):.6f}, {float(block[-1][0]):.6f}] "
+                f"shows {len(brackets)} of the {want} sign changes Rosser's rule "
+                f"puts there after {spent} evaluations")
+        i = min(range(len(pts) - 1), key=lambda i: (
+            (abs(pts[i][1]) + abs(pts[i + 1][1])) / (pts[i + 1][0] - pts[i][0])))
+        t = (pts[i][0] + pts[i + 1][0]) / 2
+        pts.insert(i + 1, (t, z(t)))
+        spent += 1
+
+
 def find_zeros(
     t_max,
     refine_tol: float = 1e-9,
     precision: int = DEFAULT_PRECISION,
 ) -> ZeroTable:
-    """All critical-line zeros with ordinate in (0, t_max], by a grid sign
-    scan of Hardy Z and Illinois regula falsi on each sign-change bracket,
-    validated against the Riemann-von Mangoldt count.
+    """All zeros with ordinate in (0, t_max], found as sign changes of
+    Hardy Z at and between the Gram points and refined by Illinois regula
+    falsi, with their count proven by Turing's method.
+
+    Z is evaluated once at each Gram point g_n.  A Gram interval whose ends
+    obey Gram's law, (-1)^n Z(g_n) > 0, is one sign-change bracket; a run of
+    failures makes a Gram block [g_j, g_k) between two good Gram points, in
+    which Rosser's rule needs k - j sign changes, and the block is
+    subdivided until they are seen (MissedZeroError if its budget runs out).
+    The scan goes on past t_max for K Gram blocks, with K >= 0.0061 ln^2 g
+    + 0.08 ln g at the last Gram point g.  Brent's theorem (Math. Comp. 33,
+    1979) then gives N(g_m) <= m + 1 at the first good Gram point
+    g_m >= t_max; the m + 1 brackets found below g_m each hold a zero, so
+    they hold every zero there, each exactly once.  Only brackets below
+    t_max are refined: one Z(t_max) says on which side of t_max the zero of
+    a straddling bracket lies.
 
     Each ordinate is the midpoint of a bracket no wider than refine_tol
-    across which Z changes sign.  On a failed count check the range is
-    rescanned at a quarter of the grid step before giving up with
-    MissedZeroError; a rescan bracket that strictly contains the whole
-    refine_tol bracket of exactly one first-pass ordinate reuses that
-    ordinate, and every other bracket is refined.
+    across which Z changes sign.  Proven: the count, given the signs of Z.
+    Not proven: the signs themselves, which rest on the Euler-Maclaurin
+    evaluation at the scan precision without an error bound.  Brent's
+    constants also rest on Lehman's bound for the integral of S(t), which
+    is stated for heights above 168 pi ~ 528 and assumed below it.  The
+    Riemann-von Mangoldt count check runs once, as a cross-check, and
+    raises MissedZeroError if it fails.
     """
     t_max = float(t_max)
     if not t_max > 0:
@@ -265,29 +336,46 @@ def find_zeros(
     scan_dps = max(15, int(-math.log10(refine_tol)) + 8)
     with workdps(scan_dps):
         z = _hardy_z_raw
-        t_lo = 5.0  # no zeros below the first ordinate 14.13...
-        half_tol = refine_tol / 2
+        gram = _gram_points()
+        _, g = next(gram)
+        block = [(g, z(g))]
+        below = []  # brackets of the Gram blocks that start below t_max
+        past = 0  # Gram blocks from t_max on, each obeying Rosser's rule
+        while True:
+            n, g = next(gram)
+            z_g = z(g)
+            block.append((g, z_g))
+            if not (z_g > 0 if n % 2 == 0 else z_g < 0):
+                continue  # g_n breaks Gram's law, (-1)^n Z(g_n) > 0
+            found = _block_brackets(z, block)
+            start, block = block[0][0], [(g, z_g)]
+            if start < t_max:
+                below += found
+                continue
+            past += 1
+            ln_g = math.log(g)
+            if past >= 0.0061 * ln_g * ln_g + 0.08 * ln_g:
+                break
         ordinates = []
-        for shrink in (1, 4):
-            found, ordinates = ordinates, []
-            for lo, hi, z_lo, z_hi in _scan_brackets(z, t_lo, t_max, shrink):
-                # a first-pass ordinate alone in this bracket, with its whole
-                # refine_tol bracket inside it, already marks its sign change
-                i, j = bisect_right(found, lo), bisect_left(found, hi)
-                if j - i == 1 and lo + half_tol < found[i] < hi - half_tol:
-                    ordinates.append(found[i])
-                else:
-                    ordinates.append(_refine(z, lo, hi, z_lo, z_hi, refine_tol))
-            table = ZeroTable(
-                tuple(ExtendedReal(g, precision) for g in ordinates),
-                "computed",
-                ExtendedReal.of(refine_tol, precision),
-            )
-            if zero_count_check(table, t_max):
-                return table
-        raise MissedZeroError(
-            f"zero count mismatch below t={t_max}: found {len(ordinates)}, "
-            f"expected ~{float(_rvm_estimate(mpf(t_max))):.2f}")
+        for lo, hi, z_lo, z_hi in below:
+            if lo >= t_max:
+                break
+            if hi > t_max:
+                hi = mpf(t_max)
+                z_hi = z(hi)
+                if (z_lo < 0) == (z_hi < 0):
+                    break  # the zero lies above t_max
+            ordinates.append(_refine(z, lo, hi, z_lo, z_hi, refine_tol))
+        table = ZeroTable(
+            tuple(ExtendedReal(g, precision) for g in ordinates),
+            "computed",
+            ExtendedReal.of(refine_tol, precision),
+        )
+        if not zero_count_check(table, t_max):
+            raise MissedZeroError(
+                f"zero count mismatch below t={t_max}: found {len(ordinates)}, "
+                f"expected ~{float(_rvm_estimate(mpf(t_max))):.2f}")
+        return table
 
 
 # ---------------------------------------------------------------------------

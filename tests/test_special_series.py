@@ -53,7 +53,7 @@ def test_stieltjes_gamma1():
         assert abs(r.value().value - mpf(GAMMA_1)) < mpf(10) ** -12
 
 
-def test_stieltjes_tail_bound_sound():
+def test_stieltjes_tail_bound_sound(stieltjes_reference):
     # the reference is the default certified request, whose own bound is
     # checked as well
     for m in (0, 1, 2):
@@ -62,6 +62,13 @@ def test_stieltjes_tail_bound_sound():
         assert ref.tail_bound.value < mpf(10) ** -25
         diff = abs(small.value().value - ref.value().value)
         assert diff <= small.tail_bound.value
+    # at P = 30 those bounds are mostly the rounding floor; at 20 terms and
+    # order 2 the remainder is the bound (~1e-7, error/bound 0.50 for m = 0
+    # and 0.11 for m = 1), so a remainder bound 10x too small shows here
+    for m in (0, 1):
+        r = stieltjes(StieltjesRequest(m, 20, correction_order=2), 60)
+        assert r.tail_bound.value > mpf(10) ** -8
+        assert _encloses(r, stieltjes_reference[m])
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,12 @@
 import pytest
-from mpmath import mp, mpf, workdps
+from mpmath import mp, mpf, workdps, workprec
 
 from zetasum import zeta_zeros
 from zetasum.numerics import DomainError, ExtendedReal, _GUARD
 from zetasum.zeta_zeros import (
     REFINE_MAX_EVALS,
     SUPPORTED_HEIGHT,
+    MissedZeroError,
     ZeroTable,
     ZeroTableError,
     find_zeros,
@@ -37,6 +38,21 @@ def test_hardy_z_reference_values(t, ref):
     z = hardy_z(t, precision=30)  # string converts at working precision
     with workdps(40):
         assert abs(z.value - mpf(ref)) < mpf(10) ** -28
+
+
+def test_hardy_z_caches_keyed_by_binary_precision(monkeypatch):
+    # 60 and 61 bits both read as dps 17: caches keyed by dps would hand
+    # 60-bit logarithms to a 61-bit evaluation (its last bit moved at 100)
+    def z_61_bits(warm_at_60_bits):
+        monkeypatch.setattr(zeta_zeros, "_lnn_cache", {})
+        monkeypatch.setattr(zeta_zeros, "_em_coeff_cache", {})
+        if warm_at_60_bits:
+            with workprec(60):
+                zeta_zeros._hardy_z_raw(mpf(100))
+        with workprec(61):
+            return zeta_zeros._hardy_z_raw(mpf(100))
+
+    assert z_61_bits(False) == z_61_bits(True)
 
 
 def test_hardy_z_domain():
@@ -87,23 +103,57 @@ def test_find_zeros_100_evaluation_budget(monkeypatch):
     # the finder looks _hardy_z_raw up by name, so the wrapper sees every call
     z_calls = _count_calls(monkeypatch, "_hardy_z_raw")
     assert len(find_zeros(100)) == 29
-    assert 0 < len(z_calls) <= 400
+    assert 0 < len(z_calls) <= 260
 
 
-def test_find_zeros_150_rescan(monkeypatch, zeros_table):
+def _assert_matches_table(table, zeros_table, count):
+    values = [g.value for g in table.ordinates]
+    assert len(values) == count
+    assert all(a < b for a, b in zip(values, values[1:]))
+    tol = 1e-9 + 1e-12  # refine_tol + ingested claimed accuracy
+    for a, b in zip(zeros_table.ordinates[:count], values):
+        assert abs(a.value - b) < tol
+
+
+def test_find_zeros_150_no_rescan(monkeypatch, zeros_table):
     checks = _count_calls(monkeypatch, "zero_count_check")
     z_calls = _count_calls(monkeypatch, "_hardy_z_raw")
     table = find_zeros(150)
-    # the first pass misses a zero below 150; the quarter-step rescan finds it
-    assert len(checks) == 2
-    # reusing the first pass's ordinates keeps the rescan from re-refining them
-    assert len(z_calls) <= 1300
-    values = [g.value for g in table.ordinates]
-    assert len(values) == 52
-    assert all(a < b for a, b in zip(values, values[1:]))
-    tol = 1e-9 + 1e-12  # refine_tol + ingested claimed accuracy
-    for a, b in zip(zeros_table.ordinates[:52], values):
-        assert abs(a.value - b) < tol
+    # one Gram-point scan; the count check runs once, as a cross-check
+    assert len(checks) == 1
+    assert len(z_calls) <= 480
+    _assert_matches_table(table, zeros_table, 52)
+
+
+def test_find_zeros_300_gram_law_failures(zeros_table):
+    # Gram's law fails at g_126 ~ 282.45 and g_134 ~ 295.58: each Gram
+    # block there hides a pair of zeros that the block search must find
+    _assert_matches_table(find_zeros(300), zeros_table, 138)
+
+
+@pytest.mark.parametrize("t_max, count", [
+    (1, 0), (9, 0), (10, 0), (14.1, 0), (14.2, 1), (21.1, 2)])
+def test_find_zeros_small_heights(t_max, count, zeros_table):
+    # g_-1 ~ 9.667, g_0 ~ 17.846, g_1 ~ 23.170: t_max below the first Gram
+    # point and between Gram points, on either side of the zeros at 14.13
+    # and 21.02
+    _assert_matches_table(find_zeros(t_max), zeros_table, count)
+
+
+def test_find_zeros_hidden_pair(monkeypatch, zeros_table):
+    # Z folded to |Z| around gamma_2 ~ 21.02 and gamma_3 ~ 25.01 loses both
+    # sign changes, and g_1 ~ 23.17 breaks Gram's law
+    lo = zeros_table.ordinates[1].value - mpf("0.5")
+    hi = zeros_table.ordinates[2].value + mpf("0.5")
+    z = zeta_zeros._hardy_z_raw
+    monkeypatch.setattr(zeta_zeros, "_hardy_z_raw",
+                        lambda t: abs(z(t)) if lo < t < hi else z(t))
+    # two zeros short, a table up to 31 would still pass the count check
+    ords = zeros_table.ordinates
+    two_short = ZeroTable(ords[:1] + ords[3:4], "ingested", zeros_table.claimed_accuracy)
+    assert zero_count_check(two_short, 31)
+    with pytest.raises(MissedZeroError):
+        find_zeros(31)
 
 
 def test_refine_illinois():

@@ -1,12 +1,55 @@
 """Binary-digit-count series.
 
-All series here have exactly rational terms built from the number of zero
-and one bits of the index.  Each public series function is generated from
-one row of a spec table (_SPECS): its name, docstring, start index, term,
-tail bound, rational offset and positivity.  Partial sums are accumulated
-exactly (as ExactRational) up to a configurable term count and in fixed
-point beyond it, returned as ExtendedReal; every result carries a certified
-tail bound, which past the exact count also covers the fixed-point rounding.
+All series here have exactly rational terms built from the number of one
+bits s(n) and the bit length L(n) of the index.  Each public series
+function is generated from one row of a spec table (_SPECS): its name,
+docstring, start index, numerator, denominator, tail bound, rational offset
+and positivity.  A row's numerator is w(n) = c s(n) + b L(n) + e, given as
+the coefficients (c, b, e); its denominator is prod_{t<=k} (2n + t), given
+by its partial fractions sum_t A_t/(2n + t): k = 1 for the paired rows,
+1/(2n(2n+1)) = 1/(2n) - 1/(2n+1), and k = 2 for the cubic ones.  The two
+alternating rows have terms w(floor(n/2)) (-1)^n / n, and each pair
+n = 2m, 2m+1 folds onto the paired term w(m)/(2m(2m+1)).  The per-term
+closures and the block evaluator below both derive from the row.
+
+Partial sums are accumulated exactly (as ExactRational) up to a
+configurable term count, exact_limit, and in fixed point beyond it,
+returned as ExtendedReal; every result carries a certified tail bound,
+which past the exact count also covers the fixed-point rounding and the
+Taylor remainders of the blocks.
+
+Block continuation.  Past exact_limit the (folded) terms are summed over
+aligned dyadic blocks n = x + r, x = a 2^j, 0 <= r < 2^j, with 2^j <= x/16:
+at each index the largest such block that fits, or the single term where
+there is none (n < 32, odd n, or a last index alone).  A sum up to N thus
+takes O(log N) pieces: about 16 blocks per octave and up to two per bit
+length where the blocks ramp up from the first index and down to the
+last.  On a block s(n) = s(a) + s(r) and L(n) = L(x), so w(n) = w0 + c s(r) with
+w0 = c s(a) + b L(x) + e, and the Taylor series of 1/(2n + t) in r gives
+the block sum
+
+    sum_{d<D} (-2)^d (c M_j(d) + w0 P_j(d)) sum_t A_t (2x + t)^-(d+1)
+
+plus a remainder.  P_j(d) = sum r^d and M_j(d) = sum s(r) r^d over
+0 <= r < 2^j are exact integers, built by doubling (_moments) and cached.
+For each t the d-sum is an exact integer over (2x + t)^D by Horner's rule.
+
+Taylor remainder.  sum_t A_t (2n + t)^-(D+1) is a k-th divided difference
+of y^-(D+1), so the D-th Taylor coefficient of 1/prod(2n + t) at any point
+n >= x is at most C(D+k, k) 2^D (2x)^-(D+k+1) in absolute value, and the
+remainder of each term at most C(D+k, k) (2x)^-(k+1) (r/x)^D, which falls
+geometrically in D by r/x < 2^-q <= 1/16, q = L(x) - 1 - j.  Over the
+block it is below W C(D+k, k) 2^(j - (k+1) L(x) - qD), W the largest |w|
+on the block; D is the least degree that puts this below 2^-B.
+
+Rounding.  The fixed point has B fraction bits: the working binary
+precision plus the bit length of the floor count plus _FIXED_GUARD_BITS.
+The exact prefix and every single term are floored to 2^-B; a block floors
+each of its k + 1 partial-fraction sums and subtracts one unit for its
+remainder, so it lies between its true sum and k + 3 units below it.  The
+integer sum is a rigorous lower end, less than floors units of 2^-B below
+the true partial sum, each block counting k + 3.  Converting it to mpf
+rounds down by less than one ulp; both widths go into the tail_bound.
 
 Tail bound derivations (integral comparison, using N1(n) <= log2(n) + 1
 and that each comparison function is decreasing for n >= 2):
@@ -25,7 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, perm
 from typing import Callable, NamedTuple, Tuple, Union
 
 from mpmath import mp, mpf, workdps
@@ -139,18 +182,44 @@ def _tree_sum(term: TermFn, lo: int, hi: int) -> Tuple[int, int]:
 class _Spec(NamedTuple):
     """One digit series: sum of term(n) for n = first..N, plus offset.
 
-    term(n) returns the exact term as an integer (numerator, denominator)
-    pair; bound(N) is the certified bound on the tail beyond n = N,
-    evaluated at the working precision.
+    The term is w(n)/prod_{t<=k} (2n + t) with w(n) = c s(n) + b L(n) + e,
+    weights = (c, b, e), and den the partial-fraction residues A_0..A_k of
+    the denominator; an alternating row's term is instead
+    w(floor(n/2)) (-1)^n / n, whose pairs n = 2m, 2m+1 sum to that form at
+    m.  bound(N) is the certified bound on the tail beyond n = N, evaluated
+    at the working precision.
     """
 
     name: str
     doc: str
     first: int
-    term: TermFn
+    weights: Tuple[int, int, int]
+    den: Tuple[Fraction, ...]
     bound: Callable[[int], mpf]
     offset: Fraction = Fraction(0)
     positive: bool = False
+    alternating: bool = False
+
+
+def _terms(spec: _Spec) -> Tuple[TermFn, TermFn]:
+    """spec's term(n), and its kernel: the term in the w/prod(2n + t) form,
+    which for an alternating row is the folded pair at m = n."""
+    c, b, e = spec.weights
+    k = len(spec.den) - 1
+
+    def kernel(n):
+        # perm(2n + k, k + 1) = 2n (2n + 1) ... (2n + k)
+        return c * n.bit_count() + b * n.bit_length() + e, perm(2 * n + k, k + 1)
+
+    if not spec.alternating:
+        return kernel, kernel
+
+    def term(n):
+        m = n >> 1
+        w = c * m.bit_count() + b * m.bit_length() + e
+        return (-w if n & 1 else w), n
+
+    return term, kernel
 
 
 def _from_fixed(acc: int, B: int, floors: int) -> Tuple[mpf, mpf]:
@@ -162,32 +231,129 @@ def _from_fixed(acc: int, B: int, floors: int) -> Tuple[mpf, mpf]:
     return value, mp.ldexp(ulps, -B)
 
 
+# _moment_cache[j] = (P, M): P[d] = sum r^d and M[d] = sum s(r) r^d over
+# 0 <= r < 2^j, for d = 0..len(P)-1, extended on demand
+_moment_cache: dict = {}
+
+
+def _moments(j: int, degree: int) -> Tuple[tuple, tuple]:
+    """The exact moments P_j(0..degree) and M_j(0..degree) (and possibly
+    more), by doubling: r < 2^i is r' or 2^(i-1) + r' with r' < 2^(i-1), and
+    s(2^(i-1) + r') = 1 + s(r'), so with h = i - 1
+
+        P_i(d) = P_h(d) + sum_l C(d, l) 2^(h(d-l)) P_h(l),
+        M_i(d) = M_h(d) + sum_l C(d, l) 2^(h(d-l)) (M_h(l) + P_h(l)).
+    """
+    for i in range(j + 1):
+        P, M = _moment_cache.get(i, ((), ()))
+        if len(P) > degree:
+            continue
+        P, M = list(P), list(M)
+        for d in range(len(P), degree + 1):
+            if i == 0:  # r = 0 only
+                P.append(int(d == 0))
+                M.append(0)
+                continue
+            Ph, Mh = _moment_cache[i - 1]
+            sp = sm = 0
+            for l in range(d + 1):
+                w = comb(d, l) << ((i - 1) * (d - l))
+                sp += w * Ph[l]
+                sm += w * (Mh[l] + Ph[l])
+            P.append(Ph[d] + sp)
+            M.append(Mh[d] + sm)
+        _moment_cache[i] = (tuple(P), tuple(M))
+    return _moment_cache[j]
+
+
+def _pieces(lo: int, hi: int):
+    """lo..hi as (x, j) pieces: the largest aligned block x..x + 2^j - 1
+    with 2^j <= x/16 that starts at x and fits, or the single index x when
+    there is none (j = 0)."""
+    n = lo
+    while n <= hi:
+        j = max(0, min((n & -n).bit_length(), n.bit_length() - 4,
+                       (hi - n + 1).bit_length()) - 1)
+        yield n, j
+        n += 1 << j
+
+
+def _block_sum(spec: _Spec, x: int, j: int, B: int) -> int:
+    """The kernel summed over the block x..x + 2^j - 1, in units of 2^-B:
+    at most the true sum and less than k + 3 units below it (see the module
+    docstring for the expansion and its remainder)."""
+    c, b, e = spec.weights
+    k = len(spec.den) - 1
+    L = x.bit_length()
+    w0 = c * (x >> j).bit_count() + b * L + e  # w(x + r) = w0 + c s(r)
+    top = max(abs(w0), abs(w0 + c * j))  # |w| on the block, 0 <= s(r) <= j
+    q = L - 1 - j
+    # remainder * 2^B < top C(D+k, k) 2^(excess - qD)
+    excess = B + j - (k + 1) * L
+    D = max(1, -(-excess // q))
+    while (top * comb(D + k, k)).bit_length() > q * D - excess:
+        D += 1
+    P, M = _moments(j, D - 1)
+    coeffs = [(-2) ** d * (c * M[d] + w0 * P[d]) for d in range(D)]
+    total = -1  # the remainder's unit
+    for t, A in enumerate(spec.den):
+        y = 2 * x + t
+        num = 0
+        for cd in coeffs:
+            num = num * y + cd
+        total += (A.numerator * num << B) // (A.denominator * y ** D)
+    return total
+
+
 def _sum_series(spec: _Spec, last: int, exact_limit: int, precision: int) -> SeriesResult:
     """Sum term(first..last) + offset, exactly while the term count allows.
 
-    The first exact_limit terms are summed as an exact Fraction.  The rest
-    are summed in fixed point with B fraction bits: the exact prefix and
-    every further term are floored to a multiple of 2^-B, so the integer
-    sum is a rigorous lower end and the true partial sum is less than one
-    2^-B per floor above it.  The result is converted to mpf rounding
-    down, which loses less than one ulp of it.  Both widths are added to
-    the returned tail_bound, so the enclosure covers all rounding.
+    The first exact_limit terms are summed exactly and returned as a
+    Fraction if they are all the terms.  Otherwise that sum is floored to
+    2^-B and the rest are added in fixed point with B fraction bits: the
+    O(log N) blocks of _pieces, each by _block_sum, and the single terms
+    one floor each.  An alternating row folds its pairs n = 2m, 2m+1 onto
+    the kernel at m and takes an unpaired end term alone.  Every floor and
+    block remainder leaves the integer sum a rigorous lower end; the floor
+    count (a block counting len(den) + 2, see the module docstring) and the
+    ulp of the downward conversion to mpf go into the returned tail_bound,
+    so the enclosure covers all rounding and truncation.
     """
-    term, first = spec.term, spec.first
+    term, kernel = _terms(spec)
+    first = spec.first
     with workdps(precision + _GUARD):
         bound = ExtendedReal(spec.bound(last), precision)
         n_terms = last - first + 1
         exact_last = min(last, first + exact_limit - 1)
         num, den = _tree_sum(term, first, exact_last)
-        exact = Fraction(num, den) + spec.offset
         if exact_last == last:
+            exact = Fraction(num, den) + spec.offset
             return SeriesResult(exact, n_terms, bound, spec.name, spec.positive)
-        floors = last - exact_last + 1
+        lo, hi, ends = exact_last + 1, last, []
+        if spec.alternating:
+            if lo & 1:
+                ends.append(lo)
+                lo += 1
+            if hi >= lo and not hi & 1:
+                ends.append(hi)
+                hi -= 1
+            lo, hi = lo >> 1, hi >> 1
+        pieces = list(_pieces(lo, hi))
+        block_floors = len(spec.den) + 2
+        floors = 1 + len(ends) + sum(block_floors if j else 1 for _, j in pieces)
         B = mp.prec + floors.bit_length() + _FIXED_GUARD_BITS
-        acc = (exact.numerator << B) // exact.denominator
-        for n in range(exact_last + 1, last + 1):
+        # the exact prefix plus offset, floored without reducing num/den
+        off = spec.offset
+        acc = ((num * off.denominator + off.numerator * den) << B) // (den * off.denominator)
+        for n in ends:
             p, q = term(n)
             acc += (p << B) // q
+        for x, j in pieces:
+            if j:
+                acc += _block_sum(spec, x, j, B)
+            else:
+                p, q = kernel(x)
+                acc += (p << B) // q
         value, width = _from_fixed(acc, B, floors)
         bound = ExtendedReal(bound.value + width, precision)
         return SeriesResult(ExtendedReal(value, precision), n_terms, bound, spec.name,
@@ -231,68 +397,53 @@ def _bound_cubic(N: int, a: int, b: int) -> mpf:
 
 
 # ---------------------------------------------------------------------------
-# The series.  Each term is one closure with its denominator written out,
-# so that the summation loops make one Python call per term.
+# The series.  Each row gives the numerator weights (c, b, e) on
+# (s(n), L(n), 1) and the denominator's partial fractions over 2n + t.
+
+# 1/(2n(2n+1)) = 1/(2n) - 1/(2n+1)
+_PAIRED = (Fraction(1), Fraction(-1))
+# 1/(2n(2n+1)(2n+2)) = (1/2)/(2n) - 1/(2n+1) + (1/2)/(2n+2)
+_CUBIC = (Fraction(1, 2), Fraction(-1), Fraction(1, 2))
 
 _SPECS = (
     _Spec("gamma_vacca_alternating",
           """Alternating digit transcription of the Vacca series; converges to
     Euler's gamma.""",
-          2,
           # N1 + N0 of floor(n/2), signed by the parity of n
-          lambda n: ((n >> 1).bit_length() * (-1 if n & 1 else 1), n),
-          _bound_alternating),
+          2, (0, 1, 0), _PAIRED, _bound_alternating, alternating=True),
     _Spec("log4pi_alternating",
           """Alternating dual series; converges to ln(4/pi).""",
-          2,
           # N1 - N0 of floor(n/2), signed by the parity of n
-          lambda n: ((2 * (n >> 1).bit_count() - (n >> 1).bit_length())
-                     * (-1 if n & 1 else 1), n),
-          _bound_alternating),
+          2, (2, -1, 0), _PAIRED, _bound_alternating, alternating=True),
     _Spec("gamma_paired",
           """Pairwise-grouped Vacca series with positive terms; converges to
     Euler's gamma.""",
-          1,
-          lambda n: (n.bit_length(), 2 * n * (2 * n + 1)),
-          _bound_paired, positive=True),
+          1, (0, 1, 0), _PAIRED, _bound_paired, positive=True),
     _Spec("log4pi_paired",
           """Pairwise-grouped dual series; converges to ln(4/pi).""",
-          1,
-          lambda n: (2 * n.bit_count() - n.bit_length(), 2 * n * (2 * n + 1)),
-          _bound_paired),
+          1, (2, -1, 0), _PAIRED, _bound_paired),
     _Spec("gamma_addison",
           """Accelerated digit series with cubic denominators; converges to
     Euler's gamma.""",
-          1,
-          lambda n: (n.bit_length(), 2 * n * (2 * n + 1) * (2 * n + 2)),
-          lambda N: _bound_cubic(N, 1, 1), offset=Fraction(1, 2), positive=True),
+          1, (0, 1, 0), _CUBIC, lambda N: _bound_cubic(N, 1, 1),
+          offset=Fraction(1, 2), positive=True),
     _Spec("log2pi_dual",
           """Dual of the accelerated series; converges to ln(2/pi).""",
-          1,
-          lambda n: (2 * n.bit_count() - n.bit_length(), 2 * n * (2 * n + 1) * (2 * n + 2)),
-          lambda N: _bound_cubic(N, 1, 1), offset=Fraction(-1, 2)),
+          1, (2, -1, 0), _CUBIC, lambda N: _bound_cubic(N, 1, 1), offset=Fraction(-1, 2)),
     _Spec("combined_pochti",
           """Sum of the accelerated pair; all terms positive; converges to
     gamma - ln(pi) + ln(2).""",
-          1,
-          lambda n: (2 * n.bit_count(), 2 * n * (2 * n + 1) * (2 * n + 2)),
-          lambda N: _bound_cubic(N, 2, 2), positive=True),
+          1, (2, 0, 0), _CUBIC, lambda N: _bound_cubic(N, 2, 2), positive=True),
     _Spec("log2_series",
           """Telescoping-style cubic series; converges to 3/4 - ln 2.""",
-          1,
-          lambda n: (1, 2 * n * (2 * n + 1) * (2 * n + 2)),
-          lambda N: mpf(1) / (16 * N ** 2), positive=True),
+          1, (0, 0, 1), _CUBIC, lambda N: mpf(1) / (16 * N ** 2), positive=True),
     _Spec("pochtipochti_series",
           """Positive-term series converging to gamma - ln(pi) - 2 ln 2 + 9/4.""",
-          1,
-          lambda n: (2 * n.bit_count() + 3, 2 * n * (2 * n + 1) * (2 * n + 2)),
-          lambda N: _bound_cubic(N, 2, 5), positive=True),
+          1, (2, 0, 3), _CUBIC, lambda N: _bound_cubic(N, 2, 5), positive=True),
     _Spec("main_series",
           """The headline positive-term series, starting at n = 3; converges to
     gamma - ln(4 pi) + 2.""",
-          3,
-          lambda n: (2 * n.bit_count() + 3, 2 * n * (2 * n + 1) * (2 * n + 2)),
-          lambda N: _bound_cubic(N, 2, 5), positive=True),
+          3, (2, 0, 3), _CUBIC, lambda N: _bound_cubic(N, 2, 5), positive=True),
 )
 
 (gamma_vacca_alternating, log4pi_alternating, gamma_paired, log4pi_paired,

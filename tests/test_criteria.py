@@ -71,6 +71,27 @@ def test_zero_sum_bound_carries_claimed_accuracy(zeros_table):
             assert amount < rigorous <= grew <= amount * (1 + mpf("1e-10"))
 
 
+def test_li_lambda_bound_carries_claimed_accuracy(zeros_table):
+    # moving every ordinate by +delta or by -delta moves each lambda_n by
+    # less than its bound grows from claimed accuracy 0 to delta; for this
+    # table sin(2nt) > 0 at every zero, so -delta moves every term the
+    # same way and the growth is nearly used up
+    delta = zeros_table.claimed_accuracy.value
+    exact = ZeroTable(zeros_table.ordinates, zeros_table.source, ExtendedReal.of(0, 50))
+    with workdps(40):
+        moved = [ZeroTable(tuple(ExtendedReal(g.value + s * delta, 50)
+                                 for g in zeros_table.ordinates),
+                           zeros_table.source, exact.claimed_accuracy)
+                 for s in (1, -1)]
+    for n in range(1, 11):
+        base = li_lambda(n, exact, False, 30)
+        grew = li_lambda(n, zeros_table, False, 30).tail_bound.value - base.tail_bound.value
+        changes = [abs(li_lambda(n, table, False, 30).value().value - base.value().value)
+                   for table in moved]
+        assert max(changes) <= grew
+        assert changes[1] > grew * mpf("0.9")
+
+
 def test_tail_correction_record(zeros_table):
     tc = tail_correction_p0(zeros_table.truncated(100))
     assert isinstance(tc, TailCorrection)

@@ -1,6 +1,8 @@
 import inspect
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
+from math import prod
 
 import pytest
 from mpmath import mp, mpf, workdps
@@ -23,6 +25,8 @@ from zetasum.digit_series import (
 )
 from zetasum.numerics import (
     DomainError, ExtendedReal, euler_gamma, ln2, ln_pi, target_constant)
+
+SPECS = {spec.name: spec for spec in digit_series._SPECS}
 
 
 def test_digit_counts_small():
@@ -213,3 +217,103 @@ def test_exact_limit_below_one_rejected(name, first):
     assert exact.is_exact_rational() and not cont.is_exact_rational()
     enclosure = cont.enclosure()
     assert _exact(enclosure.lower.value) <= exact.partial_sum <= _exact(enclosure.upper.value)
+
+
+# -- block continuation ------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _exact_sum(name: str, N: int) -> Fraction:
+    return getattr(digit_series, name)(N, exact_limit=N).partial_sum
+
+
+def _continuation_cases():
+    for name, spec in SPECS.items():
+        parities = (0, 1) if spec.alternating else (0,)
+        for dN in parities:
+            for limit in (3, 1000):
+                for dl in parities:
+                    for precision in (30, 80):
+                        yield name, 20_000 + dN, limit + dl, precision
+
+
+@pytest.mark.parametrize("name,N,exact_limit,precision", list(_continuation_cases()))
+def test_block_continuation_encloses_exact_sum(name, N, exact_limit, precision):
+    r = getattr(digit_series, name)(N, exact_limit=exact_limit, precision=precision)
+    assert not r.is_exact_rational()
+    exact = _exact_sum(name, N)
+    value = _exact(r.value().value)
+    enclosure = r.enclosure()
+    assert _exact(enclosure.lower.value) <= exact <= _exact(enclosure.upper.value)
+    # blocks, single terms and the conversion all round down
+    assert value <= exact
+    with workdps(precision + 20):
+        width = r.tail_bound.value - SPECS[name].bound(N)
+        assert exact - value <= _exact(width) < Fraction(1, 10 ** (precision + 5))
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_spec_partial_fractions_match_denominator(name):
+    # sum_t A_t/(2n + t) = 1/prod(2n + t), and the kernel's denominator is
+    # that product
+    spec = SPECS[name]
+    _, kernel = digit_series._terms(spec)
+    for n in (1, 2, 7, 1000, 2 ** 40 + 3):
+        shifts = range(len(spec.den))
+        assert sum(A / (2 * n + t) for t, A in zip(shifts, spec.den)) == \
+            Fraction(1, prod(2 * n + t for t in shifts))
+        assert kernel(n)[1] == prod(2 * n + t for t in shifts)
+
+
+def test_moments_match_direct_sums():
+    for j in (0, 1, 5, 9):
+        P, M = digit_series._moments(j, 12)
+        for d in range(13):
+            assert P[d] == sum(r ** d for r in range(2 ** j))
+            assert M[d] == sum(r.bit_count() * r ** d for r in range(2 ** j))
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (1, 1), (3, 600), (100_003, 10 ** 6), (2 ** 40 - 5, 2 ** 41 + 77)])
+def test_pieces_tile_the_range(lo, hi):
+    n = lo
+    blocks = 0
+    for x, j in digit_series._pieces(lo, hi):
+        assert x == n
+        if j:
+            blocks += 1
+            assert x % 2 ** j == 0 and 16 * 2 ** j <= x
+        n = x + 2 ** j
+    assert n == hi + 1
+    # O(log hi) blocks: at most 16 per octave plus the ramps at both ends
+    assert blocks <= 16 * (hi.bit_length() - lo.bit_length() + 1) + 2 * hi.bit_length()
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@pytest.mark.parametrize("x,j", [(512, 5), (2 ** 16, 12), (37 * 2 ** 9, 9)])
+def test_block_sum_brackets_exact_block(name, x, j):
+    # the block's value in units of 2^-B is at most its exact sum and less
+    # than len(den) + 2 units below it
+    spec = SPECS[name]
+    _, kernel = digit_series._terms(spec)
+    exact = sum(Fraction(*kernel(n)) for n in range(x, x + 2 ** j))
+    for B in (120, 300):
+        got = digit_series._block_sum(spec, x, j, B)
+        scaled = exact * 2 ** B
+        assert got <= scaled < got + len(spec.den) + 2
+
+
+def test_main_series_far_continuation():
+    r = main_series(10 ** 12)
+    assert r.terms_used == 10 ** 12 - 2
+    with workdps(80):
+        target = +mp.euler - mp.log(4 * mp.pi) + 2
+        v = r.value().value
+        assert v <= target <= v + r.tail_bound.value
+    assert r.tail_bound.value < mpf("6e-24")
+
+
+def test_gamma_addison_far_continuation():
+    r = gamma_addison(10 ** 9)
+    with workdps(80):
+        v = r.value().value
+        assert v <= +mp.euler <= v + r.tail_bound.value

@@ -12,7 +12,7 @@ tolerance than plain series results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, fsum, ldexp
+from math import factorial
 from typing import Optional
 
 from mpmath import mp, mpf, mpc, workdps
@@ -100,13 +100,13 @@ def _fluctuation_bound(T: mpf) -> mpf:
     return 4 * mp.ln(T) / (T * T)
 
 
-def _accuracy_shift(zeros: ZeroTable, inv_cubes: mpf) -> mpf:
-    """4 delta (g1/(g1 - delta))^3 inv_cubes, with inv_cubes an upper bound
-    on sum g^-3 over the table: the most that the table's claimed accuracy
-    delta moves the paired sum 2 sum 1/(1/4 + g^2) (see zero_sum_p0)."""
+def _accuracy_shift(zeros: ZeroTable) -> mpf:
+    """4 delta (g1/(g1 - delta))^3 sum g^-3 over the table: the most that
+    the table's claimed accuracy delta moves the paired sum
+    2 sum 1/(1/4 + g^2) (see zero_sum_p0)."""
     delta = zeros.claimed_accuracy.value
     g1 = zeros.ordinates[0].value
-    return 4 * delta * (g1 / (g1 - delta)) ** 3 * inv_cubes
+    return 4 * delta * (g1 / (g1 - delta)) ** 3 * zeros.inverse_cube_bound
 
 
 def zero_sum_p0(
@@ -129,8 +129,8 @@ def zero_sum_p0(
     ordinate and the mean-value point lie within delta of the listed g, so
     each pair, counted twice, moves the sum by less than
     4 delta/(g - delta)^3 <= 4 delta (g1/(g1 - delta))^3 / g^3, g1 the
-    first ordinate.  sum g^-3 is taken in floats: each term and fsum round
-    at most four times by 2^-53, which the factor 1 + 2^-48 covers.
+    first ordinate.  sum g^-3 is the table's inverse_cube_bound, summed
+    once per table in floats and rounded up.
     """
     if len(zeros) == 0:
         raise DomainError("zero_sum_p0 requires a nonempty zero table")
@@ -140,8 +140,7 @@ def zero_sum_p0(
         for g in zeros.ordinates:
             acc += 1 / (quarter + g.value * g.value)
         acc *= 2
-        inv_cubes = fsum(float(g.value) ** -3 for g in zeros.ordinates)
-        moved = _accuracy_shift(zeros, inv_cubes * (1 + mpf(2) ** -48))
+        moved = _accuracy_shift(zeros)
         T = zeros.max_ordinate()
         fluct = _fluctuation_bound(T)
         if with_tail_correction:
@@ -227,10 +226,8 @@ def li_lambda(
     The true ordinate and the mean-value point lie within the claimed
     accuracy delta of the listed g, so the sum moves by less than
     2 n^2 delta sum (g - delta)^-3 <= n^2/2 times zero_sum_p0's shift
-    4 delta (g1/(g1 - delta))^3 sum g^-3, which goes into the bound.
-    sum g^-3 is summed in floats inside the ladder loop: each term rounds
-    at most four times and the running sum once per term, by at most 2^-53
-    each, which the factor 1 + (K + 8) 2^-52 covers.
+    4 delta (g1/(g1 - delta))^3 sum g^-3, which goes into the bound, with
+    sum g^-3 the table's inverse_cube_bound, shared with zero_sum_p0.
     """
     if n < 1:
         raise DomainError("li_lambda requires n >= 1")
@@ -246,12 +243,9 @@ def li_lambda(
         B = mp.prec + floors.bit_length() + _FIXED_GUARD_BITS
         ladder = [bit == "1" for bit in bin(n)[3:]]
         acc = 0
-        inv_cubes = 0.0
         for g in zeros.ordinates:
             # v_1 = x/2 = 2/(4 m^2 2^(2e) + 1) for gamma = m 2^e
             m, e = g.value.man_exp
-            gf = ldexp(m, e)
-            inv_cubes += 1 / (gf * gf * gf)
             if e < 0:
                 v1 = (1 << (B + 1 - 2 * e)) // ((m * m << 2) + (1 << -2 * e))
             else:
@@ -265,8 +259,7 @@ def li_lambda(
                     a, b = 4 * a - 2 * (a * a >> B), mixed
             acc += a
         value, rounding = _from_fixed(2 * acc, B, floors)
-        K = len(zeros)
-        moved = mpf(n2) / 2 * _accuracy_shift(zeros, inv_cubes * (1 + mpf(K + 8) * 2 ** -52))
+        moved = mpf(n2) / 2 * _accuracy_shift(zeros)
         T = zeros.max_ordinate()
         D, fluct = _density_tail(T), _fluctuation_bound(T)
         if with_tail_correction:

@@ -21,17 +21,22 @@ Taylor remainders of the blocks.
 Block continuation.  Past exact_limit the (folded) terms are summed over
 aligned dyadic blocks n = x + r, x = a 2^j, 0 <= r < 2^j, with 2^j <= x/16:
 at each index the largest such block that fits, or the single term where
-there is none (n < 32, odd n, or a last index alone).  A sum up to N thus
-takes O(log N) pieces: about 16 blocks per octave and up to two per bit
-length where the blocks ramp up from the first index and down to the
-last.  On a block s(n) = s(a) + s(r) and L(n) = L(x), so w(n) = w0 + c s(r) with
+there is none (n < 32, odd n, or a last index alone) or where the block
+would not pay for its moments (_least_level): a block's Taylor degree D
+grows with B, and its moment table with D^2, so blocks start at 2^8 to
+2^12 at 30 to 80 digits and only at 2^20 at 1000 digits.  A sum up
+to N thus takes O(log N) blocks, about 16 per octave and up to two per bit
+length where the blocks ramp up from the first index and down to the last,
+plus O(B^2 log B) single terms, in runs between them.  On a block
+s(n) = s(a) + s(r) and L(n) = L(x), so w(n) = w0 + c s(r) with
 w0 = c s(a) + b L(x) + e, and the Taylor series of 1/(2n + t) in r gives
 the block sum
 
     sum_{d<D} (-2)^d (c M_j(d) + w0 P_j(d)) sum_t A_t (2x + t)^-(d+1)
 
 plus a remainder.  P_j(d) = sum r^d and M_j(d) = sum s(r) r^d over
-0 <= r < 2^j are exact integers, built by doubling (_moments) and cached.
+0 <= r < 2^j are exact integers, built by doubling with shifts and
+additions (_moments) and kept for the rest of the call.
 For each t the d-sum is an exact integer over (2x + t)^D by Horner's rule.
 
 Taylor remainder.  sum_t A_t (2n + t)^-(D+1) is a k-th divided difference
@@ -43,13 +48,15 @@ block it is below W C(D+k, k) 2^(j - (k+1) L(x) - qD), W the largest |w|
 on the block; D is the least degree that puts this below 2^-B.
 
 Rounding.  The fixed point has B fraction bits: the working binary
-precision plus the bit length of the floor count plus _FIXED_GUARD_BITS.
+precision plus the bit length of an a-priori floor count (k + 3 per index
+past exact_limit, plus the prefix and end terms) plus _FIXED_GUARD_BITS.
 The exact prefix and every single term are floored to 2^-B; a block floors
 each of its k + 1 partial-fraction sums and subtracts one unit for its
 remainder, so it lies between its true sum and k + 3 units below it.  The
 integer sum is a rigorous lower end, less than floors units of 2^-B below
-the true partial sum, each block counting k + 3.  Converting it to mpf
-rounds down by less than one ulp; both widths go into the tail_bound.
+the true partial sum, floors counting 1 per single term and k + 3 per
+block.  Converting it to mpf rounds down by less than one ulp; both widths
+go into the tail_bound.
 
 Tail bound derivations (integral comparison, using N1(n) <= log2(n) + 1
 and that each comparison function is decreasing for n >= 2):
@@ -68,7 +75,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, repeat
 from math import comb, gcd, perm
+from operator import lshift
 from typing import Callable, NamedTuple, Tuple, Union
 
 from mpmath import mp, mpf, workdps
@@ -231,54 +240,95 @@ def _from_fixed(acc: int, B: int, floors: int) -> Tuple[mpf, mpf]:
     return value, mp.ldexp(ulps, -B)
 
 
-# _moment_cache[j] = (P, M): P[d] = sum r^d and M[d] = sum s(r) r^d over
-# 0 <= r < 2^j, for d = 0..len(P)-1, extended on demand
-_moment_cache: dict = {}
-
-
-def _moments(j: int, degree: int) -> Tuple[tuple, tuple]:
+def _moments(j: int, degree: int, cache: list) -> Tuple[list, list]:
     """The exact moments P_j(0..degree) and M_j(0..degree) (and possibly
-    more), by doubling: r < 2^i is r' or 2^(i-1) + r' with r' < 2^(i-1), and
-    s(2^(i-1) + r') = 1 + s(r'), so with h = i - 1
+    more), by doubling: r < 2^i is r' or 2^h + r' with r' < 2^h, h = i - 1,
+    and s(2^h + r') = 1 + s(r'), so
 
-        P_i(d) = P_h(d) + sum_l C(d, l) 2^(h(d-l)) P_h(l),
-        M_i(d) = M_h(d) + sum_l C(d, l) 2^(h(d-l)) (M_h(l) + P_h(l)).
+        P_i(d) = P_h(d) + T[P_h](d),   M_i(d) = M_h(d) + T[M_h + P_h](d),
+
+    with T[a](d) = sum_l C(d, l) 2^(h(d-l)) a(l) = ((E + 2^h)^d a)(0), E the
+    shift a(l) -> a(l+1).  The table of the (E + 2^h)^m a grows by one
+    antidiagonal per degree, by shifts and additions alone; each level keeps
+    its last antidiagonal, so one more degree costs O(degree) per level.
+
+    cache[i] = (P, M, dP, dS) holds level i: P[d] = P_i(d) and M[d] = M_i(d)
+    for d < len(P), and the last antidiagonals of the two tables that build
+    it from level i - 1.  _sum_series keeps one cache per call.
     """
-    for i in range(j + 1):
-        P, M = _moment_cache.get(i, ((), ()))
-        if len(P) > degree:
-            continue
-        P, M = list(P), list(M)
-        for d in range(len(P), degree + 1):
+    while len(cache) <= j:
+        cache.append(([], [], [], []))
+    for d in range(len(cache[j][0]), degree + 1):
+        for i in range(j + 1):
+            P, M, dP, dS = cache[i]
+            if len(P) > d:
+                continue
             if i == 0:  # r = 0 only
                 P.append(int(d == 0))
                 M.append(0)
                 continue
-            Ph, Mh = _moment_cache[i - 1]
-            sp = sm = 0
-            for l in range(d + 1):
-                w = comb(d, l) << ((i - 1) * (d - l))
-                sp += w * Ph[l]
-                sm += w * (Mh[l] + Ph[l])
-            P.append(Ph[d] + sp)
-            M.append(Mh[d] + sm)
-        _moment_cache[i] = (tuple(P), tuple(M))
-    return _moment_cache[j]
+            Ph, Mh, _, _ = cache[i - 1]
+            h = i - 1
+            # dP[m] = ((E + 2^h)^m P_h)(d - m): dP[m] plus 2^h times the
+            # previous degree's dP[m] gives dP[m + 1]; likewise dS for M_h + P_h
+            dP[:] = accumulate(chain((Ph[d],), map(lshift, dP, repeat(h))))
+            dS[:] = accumulate(chain((Mh[d] + Ph[d],), map(lshift, dS, repeat(h))))
+            P.append(Ph[d] + dP[-1])
+            M.append(Mh[d] + dS[-1])
+    P, M, _, _ = cache[j]
+    return P, M
 
 
-def _pieces(lo: int, hi: int):
-    """lo..hi as (x, j) pieces: the largest aligned block x..x + 2^j - 1
-    with 2^j <= x/16 that starts at x and fits, or the single index x when
-    there is none (j = 0)."""
-    n = lo
+def _least_level(k: int, L: int, prec: int) -> int:
+    """The least block level j >= 1 such that every level from j to L - 5
+    pays at bit length L, or L - 4 if L - 5 does not (no block there).
+
+    A block of 2^j terms with q = L - 1 - j needs degree about
+    D = (prec + j - (k + 1) L)/q (see _block_sum), so about (k + 2) D
+    big-integer steps, and the moment table up to level j about j D^2
+    shift-adds, shared by all blocks up to that level.  A level pays when
+    j D^2 <= 2^(j + 8), 16 times the 2^(j + 4) terms of the 16 blocks of its
+    octave: a shift-add costs a fraction of a term's floor division, and the
+    table serves the blocks of every octave above as well.  The constant is
+    timed: 2^(j + 6) and 2^(j + 10) were slower at 300 and 1000 digits
+    respectively (BENCH_10.json).
+    """
+    least = max(1, L - 4)
+    for j in range(L - 5, 0, -1):
+        q = L - 1 - j
+        D = max(1, -(-(prec + j - (k + 1) * L) // q))
+        if j * D * D > 1 << (j + 8):
+            break
+        least = j
+    return least
+
+
+def _pieces(lo: int, hi: int, k: int, prec: int):
+    """lo..hi as pieces (x, y, j): the block x..y = x + 2^j - 1 when j > 0,
+    else the single indices x..y.  A block is the largest aligned one with
+    2^j <= x/16 that starts at x and fits, taken when j is at least
+    _least_level at L(x); otherwise the indices run singly up to the next
+    multiple of 2^least (or the next octave, or hi)."""
+    levels = {}  # _least_level by bit length
+    n = start = lo
     while n <= hi:
-        j = max(0, min((n & -n).bit_length(), n.bit_length() - 4,
-                       (hi - n + 1).bit_length()) - 1)
-        yield n, j
-        n += 1 << j
+        L = n.bit_length()
+        if L not in levels:
+            levels[L] = _least_level(k, L, prec)
+        least = levels[L]
+        j = min((n & -n).bit_length(), L - 4, (hi - n + 1).bit_length()) - 1
+        if j >= least:
+            if start < n:
+                yield start, n - 1, 0
+            yield n, n + (1 << j) - 1, j
+            n = start = n + (1 << j)
+        else:
+            n = min((n | ((1 << least) - 1)) + 1, 1 << L, hi + 1)
+    if start <= hi:
+        yield start, hi, 0
 
 
-def _block_sum(spec: _Spec, x: int, j: int, B: int) -> int:
+def _block_sum(spec: _Spec, x: int, j: int, B: int, cache: list) -> int:
     """The kernel summed over the block x..x + 2^j - 1, in units of 2^-B:
     at most the true sum and less than k + 3 units below it (see the module
     docstring for the expansion and its remainder)."""
@@ -293,7 +343,7 @@ def _block_sum(spec: _Spec, x: int, j: int, B: int) -> int:
     D = max(1, -(-excess // q))
     while (top * comb(D + k, k)).bit_length() > q * D - excess:
         D += 1
-    P, M = _moments(j, D - 1)
+    P, M = _moments(j, D - 1, cache)
     coeffs = [(-2) ** d * (c * M[d] + w0 * P[d]) for d in range(D)]
     total = -1  # the remainder's unit
     for t, A in enumerate(spec.den):
@@ -311,8 +361,8 @@ def _sum_series(spec: _Spec, last: int, exact_limit: int, precision: int) -> Ser
     The first exact_limit terms are summed exactly and returned as a
     Fraction if they are all the terms.  Otherwise that sum is floored to
     2^-B and the rest are added in fixed point with B fraction bits: the
-    O(log N) blocks of _pieces, each by _block_sum, and the single terms
-    one floor each.  An alternating row folds its pairs n = 2m, 2m+1 onto
+    O(log N) blocks of _pieces, each by _block_sum, and its runs of single
+    terms, one floor each.  An alternating row folds its pairs n = 2m, 2m+1 onto
     the kernel at m and takes an unpaired end term alone.  Every floor and
     block remainder leaves the integer sum a rigorous lower end; the floor
     count (a block counting len(den) + 2, see the module docstring) and the
@@ -338,22 +388,25 @@ def _sum_series(spec: _Spec, last: int, exact_limit: int, precision: int) -> Ser
                 ends.append(hi)
                 hi -= 1
             lo, hi = lo >> 1, hi >> 1
-        pieces = list(_pieces(lo, hi))
-        block_floors = len(spec.den) + 2
-        floors = 1 + len(ends) + sum(block_floors if j else 1 for _, j in pieces)
-        B = mp.prec + floors.bit_length() + _FIXED_GUARD_BITS
+        k = len(spec.den) - 1
+        # at most one floor per index; a block of 2^j >= 2 indices takes k + 3
+        floors_max = 1 + len(ends) + (k + 3) * max(0, hi - lo + 1)
+        B = mp.prec + floors_max.bit_length() + _FIXED_GUARD_BITS
         # the exact prefix plus offset, floored without reducing num/den
         off = spec.offset
         acc = ((num * off.denominator + off.numerator * den) << B) // (den * off.denominator)
+        floors = 1 + len(ends)
+        moments = []  # _moments' cache, for this call only
         for n in ends:
             p, q = term(n)
             acc += (p << B) // q
-        for x, j in pieces:
+        for x, y, j in _pieces(lo, hi, k, mp.prec):
             if j:
-                acc += _block_sum(spec, x, j, B)
+                acc += _block_sum(spec, x, j, B, moments)
+                floors += k + 3
             else:
-                p, q = kernel(x)
-                acc += (p << B) // q
+                acc += sum((p << B) // q for p, q in map(kernel, range(x, y + 1)))
+                floors += y - x + 1
         value, width = _from_fixed(acc, B, floors)
         bound = ExtendedReal(bound.value + width, precision)
         return SeriesResult(ExtendedReal(value, precision), n_terms, bound, spec.name,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from mpmath import mp, mpf, mpc, workdps
 
@@ -83,6 +84,21 @@ class ZeroTable:
 
     def truncated(self, limit: int) -> "ZeroTable":
         return ZeroTable(self.ordinates[:limit], self.source, self.claimed_accuracy)
+
+    @cached_property
+    def inverse_cube_bound(self) -> mpf:
+        """An upper bound on sum g^-3 over the ordinates, summed once per
+        table in floats.  Each g is first cut to its top 53 bits, which is
+        exact in a double and rounds g down, so g^-3 only grows; the three
+        roundings of 1/(g g g) and the one of fsum, each at most 2^-53
+        relative, are covered by the factor 1 + 2^-50."""
+        cubes = []
+        for g in self.ordinates:
+            m, e = g.value.man_exp
+            s = max(0, m.bit_length() - 53)
+            gf = math.ldexp(m >> s, e + s)
+            cubes.append(1 / (gf * gf * gf))
+        return mpf(math.fsum(cubes)) * (1 + mpf(2) ** -50)
 
 
 # ---------------------------------------------------------------------------

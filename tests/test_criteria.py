@@ -15,7 +15,8 @@ from zetasum.criteria import (
     zero_sum_p0,
 )
 from zetasum.numerics import DomainError, ExtendedReal, target_constant
-from zetasum.zeta_zeros import ZeroTable
+from tests.conftest import ZEROS_FILE
+from zetasum.zeta_zeros import ZeroTable, load_zero_table
 
 # frozen direct-arithmetic oracles from the 20-digit first ordinate
 GAMMA_1 = "14.13472514173469379"
@@ -90,6 +91,22 @@ def test_li_lambda_bound_carries_claimed_accuracy(zeros_table):
                    for table in moved]
         assert max(changes) <= grew
         assert changes[1] > grew * mpf("0.9")
+
+
+def test_sums_run_on_a_table_loaded_past_double_range(zeros_table):
+    # at 320 digits a parsed ordinate's mantissa has ~1100 bits, past what
+    # a double holds; both sums must still run and agree with the 50-digit
+    # table within their bounds
+    deep = load_zero_table(ZEROS_FILE, claimed_accuracy=1e-12, precision=320)
+    assert deep.inverse_cube_bound >= zeros_table.inverse_cube_bound * (1 - mpf(2) ** -45)
+    for n in (1, 10):
+        a, b = li_lambda(n, deep, precision=300), li_lambda(n, zeros_table)
+        with workdps(60):
+            assert abs(a.value().value - b.value().value) <= \
+                a.tail_bound.value + b.tail_bound.value
+    a, b = zero_sum_p0(deep, precision=300), zero_sum_p0(zeros_table)
+    with workdps(60):
+        assert abs(a.value().value - b.value().value) <= a.tail_bound.value + b.tail_bound.value
 
 
 def test_tail_correction_record(zeros_table):

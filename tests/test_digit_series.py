@@ -265,27 +265,57 @@ def test_spec_partial_fractions_match_denominator(name):
 
 
 def test_moments_match_direct_sums():
-    for j in (0, 1, 5, 9):
-        P, M = digit_series._moments(j, 12)
-        for d in range(13):
+    # one cache throughout: levels built out of order, degrees raised later
+    cache = []
+    for j, degree in ((0, 12), (1, 12), (5, 12), (9, 12), (3, 12), (9, 20),
+                      (11, 4), (11, 16)):
+        P, M = digit_series._moments(j, degree, cache)
+        assert len(P) > degree and len(M) > degree
+        for d in range(degree + 1):
             assert P[d] == sum(r ** d for r in range(2 ** j))
             assert M[d] == sum(r.bit_count() * r ** d for r in range(2 ** j))
 
 
+def _tile(lo, hi, k, prec):
+    """The pieces of lo..hi, checked to tile it: (blocks, runs of singles)."""
+    n, blocks, runs = lo, [], []
+    for x, y, j in digit_series._pieces(lo, hi, k, prec):
+        assert x == n <= y
+        if j:
+            assert y - x + 1 == 2 ** j and x % 2 ** j == 0 and 16 * 2 ** j <= x
+            assert j >= digit_series._least_level(k, x.bit_length(), prec)
+            blocks.append((x, j))
+        else:
+            runs.append((x, y))
+        n = y + 1
+    assert n == hi + 1
+    return blocks, runs
+
+
 @pytest.mark.parametrize("lo,hi", [
     (1, 1), (3, 600), (100_003, 10 ** 6), (2 ** 40 - 5, 2 ** 41 + 77)])
-def test_pieces_tile_the_range(lo, hi):
-    n = lo
-    blocks = 0
-    for x, j in digit_series._pieces(lo, hi):
-        assert x == n
-        if j:
-            blocks += 1
-            assert x % 2 ** j == 0 and 16 * 2 ** j <= x
-        n = x + 2 ** j
-    assert n == hi + 1
-    # O(log hi) blocks: at most 16 per octave plus the ramps at both ends
-    assert blocks <= 16 * (hi.bit_length() - lo.bit_length() + 1) + 2 * hi.bit_length()
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("prec", [120, 300])
+def test_pieces_tile_the_range(lo, hi, k, prec):
+    blocks, runs = _tile(lo, hi, k, prec)
+    # O(log hi) pieces: at most 16 blocks per octave plus the ramps at both
+    # ends, and a run of single indices only between blocks
+    assert len(blocks) <= 16 * (hi.bit_length() - lo.bit_length() + 1) + 2 * hi.bit_length()
+    assert len(runs) <= len(blocks) + 1
+    if hi > 2 ** 20:
+        assert blocks
+
+
+def test_pieces_take_single_terms_where_blocks_do_not_pay():
+    # at ~1000 digits the moment table of a block below 2^20 would cost
+    # more than its terms one by one
+    assert _tile(100_003, 10 ** 6, 2, 3350) == ([], [(100_003, 10 ** 6)])
+    blocks, runs = _tile(100_003, 10 ** 9, 2, 3350)
+    assert blocks and min(x for x, _ in blocks) >= 2 ** 20
+    # the least level only falls as the precision falls
+    for L in range(6, 42):
+        levels = [digit_series._least_level(2, L, prec) for prec in (3350, 1000, 300, 120)]
+        assert levels == sorted(levels, reverse=True)
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -296,8 +326,8 @@ def test_block_sum_brackets_exact_block(name, x, j):
     spec = SPECS[name]
     _, kernel = digit_series._terms(spec)
     exact = sum(Fraction(*kernel(n)) for n in range(x, x + 2 ** j))
-    for B in (120, 300):
-        got = digit_series._block_sum(spec, x, j, B)
+    for B in (120, 300, 1100):
+        got = digit_series._block_sum(spec, x, j, B, [])
         scaled = exact * 2 ** B
         assert got <= scaled < got + len(spec.den) + 2
 

@@ -12,11 +12,11 @@ alternating rows have terms w(floor(n/2)) (-1)^n / n, and each pair
 n = 2m, 2m+1 folds onto the paired term w(m)/(2m(2m+1)).  The per-term
 closures and the block evaluator below both derive from the row.
 
-Partial sums are accumulated exactly (as ExactRational) up to a
-configurable term count, exact_limit, and in fixed point beyond it,
-returned as ExtendedReal; every result carries a certified tail bound,
-which past the exact count also covers the fixed-point rounding and the
-Taylor remainders of the blocks.
+exact_limit is the largest term count whose partial sum is returned
+exactly, as ExactRational.  A sum of more terms is taken in fixed point
+from the first index on and returned as ExtendedReal; every result carries
+a certified tail bound, which for a fixed-point sum also covers its
+rounding and the Taylor remainders of the blocks.
 
 Block continuation.  Past exact_limit the (folded) terms are summed over
 aligned dyadic blocks n = x + r, x = a 2^j, 0 <= r < 2^j, with 2^j <= x/16:
@@ -48,15 +48,15 @@ block it is below W C(D+k, k) 2^(j - (k+1) L(x) - qD), W the largest |w|
 on the block; D is the least degree that puts this below 2^-B.
 
 Rounding.  The fixed point has B fraction bits: the working binary
-precision plus the bit length of an a-priori floor count (k + 3 per index
-past exact_limit, plus the prefix and end terms) plus _FIXED_GUARD_BITS.
-The exact prefix and every single term are floored to 2^-B; a block floors
-each of its k + 1 partial-fraction sums and subtracts one unit for its
-remainder, so it lies between its true sum and k + 3 units below it.  The
-integer sum is a rigorous lower end, less than floors units of 2^-B below
-the true partial sum, floors counting 1 per single term and k + 3 per
-block.  Converting it to mpf rounds down by less than one ulp; both widths
-go into the tail_bound.
+precision plus the bit length of an a-priori floor count (k + 3 per
+summed index, plus the offset and the end terms) plus _FIXED_GUARD_BITS.
+The rational offset and every single term are floored to 2^-B; a block
+floors each of its k + 1 partial-fraction sums and subtracts one unit for
+its remainder, so it lies between its true sum and k + 3 units below it.
+The integer sum is a rigorous lower end, less than floors units of 2^-B
+below the true partial sum, floors counting 1 for the offset, 1 per single
+term and k + 3 per block.  Converting it to mpf rounds down by less than
+one ulp; both widths go into the tail_bound.
 
 Tail bound derivations (integral comparison, using N1(n) <= log2(n) + 1
 and that each comparison function is decreasing for n >= 2):
@@ -194,9 +194,9 @@ class _Spec(NamedTuple):
     The term is w(n)/prod_{t<=k} (2n + t) with w(n) = c s(n) + b L(n) + e,
     weights = (c, b, e), and den the partial-fraction residues A_0..A_k of
     the denominator; an alternating row's term is instead
-    w(floor(n/2)) (-1)^n / n, whose pairs n = 2m, 2m+1 sum to that form at
-    m.  bound(N) is the certified bound on the tail beyond n = N, evaluated
-    at the working precision.
+    w(floor(n/2)) (-1)^n / n from an even first index, whose pairs
+    n = 2m, 2m+1 sum to that form at m.  bound(N) is the certified bound on
+    the tail beyond n = N, evaluated at the working precision.
     """
 
     name: str
@@ -358,43 +358,40 @@ def _block_sum(spec: _Spec, x: int, j: int, B: int, cache: list) -> int:
 def _sum_series(spec: _Spec, last: int, exact_limit: int, precision: int) -> SeriesResult:
     """Sum term(first..last) + offset, exactly while the term count allows.
 
-    The first exact_limit terms are summed exactly and returned as a
-    Fraction if they are all the terms.  Otherwise that sum is floored to
-    2^-B and the rest are added in fixed point with B fraction bits: the
-    O(log N) blocks of _pieces, each by _block_sum, and its runs of single
-    terms, one floor each.  An alternating row folds its pairs n = 2m, 2m+1 onto
-    the kernel at m and takes an unpaired end term alone.  Every floor and
-    block remainder leaves the integer sum a rigorous lower end; the floor
-    count (a block counting len(den) + 2, see the module docstring) and the
-    ulp of the downward conversion to mpf go into the returned tail_bound,
-    so the enclosure covers all rounding and truncation.
+    At most exact_limit terms are summed exactly and returned as a
+    Fraction.  More are summed in fixed point with B fraction bits from
+    first on, the offset floored to 2^-B: the O(log N) blocks of _pieces,
+    each by _block_sum, and its runs of single terms, one floor each.  An
+    alternating row folds its pairs n = 2m, 2m+1 onto the kernel at m and
+    takes an even last index alone.  Every floor and block remainder
+    leaves the integer sum a rigorous lower end; the floor count (a block
+    counting len(den) + 2, see the module docstring) and the ulp of the
+    downward conversion to mpf go into the returned tail_bound, so the
+    enclosure covers all rounding and truncation.
     """
     term, kernel = _terms(spec)
     first = spec.first
     with workdps(precision + _GUARD):
         bound = ExtendedReal(spec.bound(last), precision)
         n_terms = last - first + 1
-        exact_last = min(last, first + exact_limit - 1)
-        num, den = _tree_sum(term, first, exact_last)
-        if exact_last == last:
+        if n_terms <= exact_limit:
+            num, den = _tree_sum(term, first, last)
             exact = Fraction(num, den) + spec.offset
             return SeriesResult(exact, n_terms, bound, spec.name, spec.positive)
-        lo, hi, ends = exact_last + 1, last, []
+        lo, hi, ends = first, last, []
         if spec.alternating:
-            if lo & 1:
-                ends.append(lo)
-                lo += 1
-            if hi >= lo and not hi & 1:
+            # the pairs fold from the even first index; an even last index
+            # is left alone
+            if not hi & 1:
                 ends.append(hi)
                 hi -= 1
             lo, hi = lo >> 1, hi >> 1
         k = len(spec.den) - 1
-        # at most one floor per index; a block of 2^j >= 2 indices takes k + 3
-        floors_max = 1 + len(ends) + (k + 3) * max(0, hi - lo + 1)
+        # the offset and an end term take one floor each; a block of
+        # 2^j >= 2 indices takes k + 3, at most that per index
+        floors_max = 1 + len(ends) + (k + 3) * (hi - lo + 1)
         B = mp.prec + floors_max.bit_length() + _FIXED_GUARD_BITS
-        # the exact prefix plus offset, floored without reducing num/den
-        off = spec.offset
-        acc = ((num * off.denominator + off.numerator * den) << B) // (den * off.denominator)
+        acc = (spec.offset.numerator << B) // spec.offset.denominator
         floors = 1 + len(ends)
         moments = []  # _moments' cache, for this call only
         for n in ends:

@@ -235,6 +235,25 @@ def p01_integral(N: int, precision: int = DEFAULT_PRECISION) -> SeriesResult:
 
     Tail bound: the integrand is at most 1/(2 q^4), so the omitted part is
     below 1/(6 (N+1)^3).
+
+    Rounding: take each mpmath operation to err by at most u relative, u
+    the working precision's eps (one ulp), and let l = ln(N + 2) >= 1 and
+    M = (n + 2)^2.  In _p01_term_raw(n), |A| <= 2M and |B|, |D| <= M.
+    Each logarithm errs by at most u l, so a difference of two (below 1)
+    by 3 u l and its A-multiple by 2 M u (3 l + 2); each reciprocal errs by
+    at most u, a difference of two by 4 u and its B- or D-multiple by
+    6 u M.  The four pieces are each at most 2M in size, so each of the
+    three additions errs by at most 7 u M, and halving is exact: the term
+    errs by at most u M (6 l + 21).  With sum_{n<=N} (n + 2)^2 <=
+    (N + 3)^3/3 the N terms err by at most u (2 l + 7)(N + 3)^3 together,
+    and each of the N additions by at most u, the partial sums staying
+    below 1.  The cancellation is in the (N + 3)^3: about 3 log10 N
+    digits, which the 5 per digit of N in _p01_guard cover.  The returned
+    value is the sum lowered by r = u ((2 l + 7)(N + 3)^3 + N + 3), the 3
+    covering the roundings of that shift, of the tail and of the bound's
+    sum, and the tail bound grows by 2r, so [value, value + tail_bound]
+    still encloses the integral.  The slack in the bound on the squares
+    absorbs the rounding of r itself.
     """
     if N < 1:
         raise DomainError("p01_integral requires N >= 1")
@@ -242,9 +261,10 @@ def p01_integral(N: int, precision: int = DEFAULT_PRECISION) -> SeriesResult:
         acc = mp.zero
         for n in range(1, N + 1):
             acc += _p01_term_raw(n)
-        bound = mpf(1) / (6 * (N + 1) ** 3)
+        rounding = ((2 * mp.ln(N + 2) + 7) * mpf(N + 3) ** 3 + N + 3) * mp.eps
+        bound = mpf(1) / (6 * (N + 1) ** 3) + 2 * rounding
         return SeriesResult(
-            ExtendedReal(acc, precision),
+            ExtendedReal(acc - rounding, precision),
             N,
             ExtendedReal(bound, precision),
             "p01_integral",

@@ -212,11 +212,55 @@ def test_exact_limit_below_one_rejected(name, first):
     for bad in (0, -3):
         with pytest.raises(DomainError):
             fn(N, exact_limit=bad)
-    # one exact term, the rest in fixed point: still encloses the exact sum
+    # the least limit sums every term in fixed point: still encloses the
+    # exact sum
     cont, exact = fn(N, exact_limit=1), fn(N, exact_limit=N)
     assert exact.is_exact_rational() and not cont.is_exact_rational()
     enclosure = cont.enclosure()
     assert _exact(enclosure.lower.value) <= exact.partial_sum <= _exact(enclosure.upper.value)
+
+
+@pytest.mark.parametrize("name,first", SERIES_FIRST)
+def test_no_exact_prefix_above_the_limit(name, first, monkeypatch):
+    def no_exact_sum(*args):
+        raise AssertionError("exact sum built above exact_limit")
+
+    monkeypatch.setattr(digit_series, "_tree_sum", no_exact_sum)
+    fn = getattr(digit_series, name)
+    for N, limit in ((first + 1, 1), (first + 5000, 1000), (first + 5001, 1000),
+                     (10 ** 6, 10 ** 5)):
+        assert not fn(N, exact_limit=limit).is_exact_rational()
+
+
+def _limit_cases():
+    for name, first in SERIES_FIRST:
+        # both parities of N for the alternating rows
+        for limit in (1000, 1001) if SPECS[name].alternating else (1000,):
+            yield name, first, limit
+
+
+@pytest.mark.parametrize("name,first,limit", list(_limit_cases()))
+def test_exact_limit_boundary(name, first, limit):
+    fn = getattr(digit_series, name)
+    spec = SPECS[name]
+    term, _ = digit_series._terms(spec)
+    # limit terms: the exact sum, against left-to-right Fraction addition
+    at = fn(first + limit - 1, exact_limit=limit)
+    assert at.is_exact_rational() and at.terms_used == limit
+    assert at.partial_sum == \
+        sum(Fraction(*term(n)) for n in range(first, first + limit)) + spec.offset
+    # one term more: fixed point, enclosing the exact sum
+    N = first + limit
+    above = fn(N, exact_limit=limit)
+    assert not above.is_exact_rational()
+    enclosure = above.enclosure()
+    exact = fn(N, exact_limit=N).partial_sum
+    assert _exact(enclosure.lower.value) <= exact <= _exact(enclosure.upper.value)
+    # above the limit the limit itself no longer matters
+    for N in (first + limit, first + limit + 1):
+        lowest, highest = fn(N, exact_limit=1), fn(N, exact_limit=N - first)
+        assert lowest.partial_sum == highest.partial_sum
+        assert lowest.tail_bound == highest.tail_bound
 
 
 # -- block continuation ------------------------------------------------------

@@ -157,6 +157,18 @@ def test_p01_integral_converges_to_target():
     assert r.enclosure().contains(target_constant(30).value)
 
 
+def test_p01_integral_bound_covers_rounding():
+    # at 20 digits the sum is lowered by its rounding term r, and the bound
+    # widened by 2r: the 60-digit sum lies between the two ends
+    N = 300
+    low, high = p01_integral(N, 20), p01_integral(N, 60)
+    with workdps(80):
+        r = (low.tail_bound.value - mpf(1) / (6 * (N + 1) ** 3)) / 2
+        assert 0 < r < mpf(10) ** -20
+        v = low.value().value
+        assert v <= high.value().value <= v + 2 * r
+
+
 def test_p01_domain():
     with pytest.raises(DomainError):
         p01_term(0)

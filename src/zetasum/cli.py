@@ -1,9 +1,15 @@
 """Command-line surface: compute constants, run identity verifications,
 manage zero tables, emit machine-readable reports.
 
+argparse is the only place inputs are parsed, checked and dispatched: each
+subcommand's parser names its handler, and the handlers read the parsed
+namespace.  Every common flag can also be set through an environment
+variable with the ZETASUM_ prefix (e.g. ZETASUM_PRECISION=30).  The
+variable's string is the flag's default, and argparse converts it with the
+flag's own checked type, so a bad value is a usage error like a bad flag.
+An explicit flag wins, and the variable is then not checked.
+
 Exit codes: 0 on pass, 1 on computational failure, 2 on usage errors.
-Every flag can also be set through an environment variable with the
-ZETASUM_ prefix (e.g. ZETASUM_PRECISION=30); explicit flags win.
 """
 
 from __future__ import annotations
@@ -13,13 +19,12 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from mpmath import mpf
 
 from .numerics import (
     DEFAULT_PRECISION,
+    MIN_PRECISION,
     DomainError,
     ExtendedReal,
     ln2,
@@ -45,72 +50,59 @@ from .zeta_zeros import (
 from . import criteria
 
 ENV_PREFIX = "ZETASUM_"
+FORMATS = ("json", "csv", "text")
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
-    precision: int = DEFAULT_PRECISION
-    terms: Optional[int] = None
-    zeros_file: Optional[str] = None
-    zeros_height: Optional[float] = None
-    output_format: str = "text"
-    tail_correction: bool = True
-
-    def __post_init__(self):
-        if self.precision < 15:
-            raise DomainError("precision must be >= 15")
-        if self.terms is not None and self.terms < 1:
-            raise DomainError("terms must be >= 1")
-        if self.zeros_height is not None and not self.zeros_height > 0:
-            raise DomainError("height must be > 0")
-        if self.output_format not in ("json", "csv", "text"):
-            raise DomainError(f"unknown format {self.output_format!r}")
+def _env(name: str, default=None):
+    """The ZETASUM_<name> variable's string, or default if unset or empty."""
+    return os.environ.get(ENV_PREFIX + name) or default
 
 
-def _env(name: str) -> Optional[str]:
-    return os.environ.get(ENV_PREFIX + name)
+def _checked(convert, ok, rule: str):
+    """An argparse type: convert the text, then require ok(value).  argparse
+    applies it to a flag's value and to a string default alike."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse: "invalid int value: 'abc'"
+    return parse
+
+
+_precision = _checked(int, lambda p: p >= MIN_PRECISION, f"must be >= {MIN_PRECISION}")
+_terms = _checked(int, lambda n: n >= 1, "must be >= 1")
+_height = _checked(float, lambda t: t > 0, "must be > 0")  # NaN fails too
+_format = _checked(str, FORMATS.__contains__, "must be one of " + ", ".join(FORMATS))
 
 
 def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--precision", type=int,
-                   default=int(_env("PRECISION") or DEFAULT_PRECISION),
-                   help="working precision in decimal digits (>= 15)")
-    p.add_argument("--terms", type=int,
-                   default=int(_env("TERMS")) if _env("TERMS") else None,
+    p.add_argument("--precision", type=_precision,
+                   default=_env("PRECISION", DEFAULT_PRECISION),
+                   help=f"working precision in decimal digits (>= {MIN_PRECISION})")
+    p.add_argument("--terms", type=_terms, default=_env("TERMS"),
                    help="series term count override")
     p.add_argument("--zeros-file", default=_env("ZEROS_FILE"),
                    help="path to a zero-ordinate table")
-    p.add_argument("--height", type=float,
-                   default=float(_env("HEIGHT")) if _env("HEIGHT") else None,
+    p.add_argument("--height", type=_height, default=_env("HEIGHT"),
                    help="compute zeros up to this ordinate instead of loading")
-    p.add_argument("--format", dest="output_format",
-                   choices=("json", "csv", "text"),
-                   default=_env("FORMAT") or "text")
+    p.add_argument("--format", type=_format, default=_env("FORMAT", "text"),
+                   metavar="{" + ",".join(FORMATS) + "}")
     p.add_argument("--no-tail-correction", action="store_true",
                    default=_env("NO_TAIL_CORRECTION") == "1",
                    help="skip density-based completion of zero sums")
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        precision=args.precision,
-        terms=args.terms,
-        zeros_file=args.zeros_file,
-        zeros_height=args.height,
-        output_format=args.output_format,
-        tail_correction=not args.no_tail_correction,
-    )
-
-
-def _get_zeros(config: RunConfig, default_height: float = 100.0) -> ZeroTable:
-    if config.zeros_file:
-        return load_zero_table(config.zeros_file, precision=config.precision)
-    height = default_height if config.zeros_height is None else config.zeros_height
-    return find_zeros(height, precision=config.precision)
+def _get_zeros(args) -> ZeroTable:
+    """The --zeros-file table, else the zeros up to --height (default 100)."""
+    if args.zeros_file:
+        return load_zero_table(args.zeros_file, precision=args.precision)
+    height = 100.0 if args.height is None else args.height
+    return find_zeros(height, precision=args.precision)
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +117,12 @@ def _route_dict(label: str, result: SeriesResult, digits: int) -> dict:
     }
 
 
-def _emit(config: RunConfig, rows: list, doc: dict, lines: list):
+def _emit(args, rows: list, doc: dict, lines: list):
     """Print a report in the form --format selects: doc as JSON, the flat
     row dicts as CSV (header from the first row's keys), or the text lines."""
-    if config.output_format == "json":
+    if args.format == "json":
         print(json.dumps(doc, indent=2))
-    elif config.output_format == "csv":
+    elif args.format == "csv":
         w = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), lineterminator="\n")
         w.writeheader()
         w.writerows(rows)
@@ -139,11 +131,11 @@ def _emit(config: RunConfig, rows: list, doc: dict, lines: list):
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands, each taking the parsed namespace
 
-def cmd_constants(config: RunConfig) -> int:
-    p = config.precision
-    N = config.terms or 100_000
+def cmd_constants(args) -> int:
+    p = args.precision
+    N = args.terms or 100_000
     lp = log4pi_paired(N, precision=p)
     s = log2_series(N, precision=p)
     routes = [  # (constant, label, SeriesResult)
@@ -171,22 +163,20 @@ def cmd_constants(config: RunConfig) -> int:
         lines.append(name)
         lines += [f"  {r['label']}: {r['value']}  (tail_bound={r['tail_bound']})" for r in group]
     doc = {"constants": [{"name": k, "routes": v} for k, v in grouped.items()]}
-    _emit(config, rows, doc, lines)
+    _emit(args, rows, doc, lines)
     return EXIT_PASS
 
 
-def cmd_verify(identity_id: str, config: RunConfig) -> int:
-    zeros = None
-    if identity_id == "p0_zeros":
-        zeros = _get_zeros(config)
+def cmd_verify(args) -> int:
+    zeros = _get_zeros(args) if args.identity == "p0_zeros" else None
     report = criteria.verify_identity(
-        identity_id,
-        terms=config.terms,
+        args.identity,
+        terms=args.terms,
         zeros=zeros,
-        with_tail_correction=config.tail_correction,
-        precision=config.precision,
+        with_tail_correction=not args.no_tail_correction,
+        precision=args.precision,
     )
-    routes = [_route_dict(label, r, config.precision)
+    routes = [_route_dict(label, r, args.precision)
               for label, r in (report.route_a, report.route_b)]
     discrepancy = report.discrepancy.to_decimal_string(8)
     tolerance = report.tolerance.to_decimal_string(8)
@@ -199,73 +189,70 @@ def cmd_verify(identity_id: str, config: RunConfig) -> int:
              f"  discrepancy: {discrepancy}",
              f"  tolerance:   {tolerance}",
              f"  verdict:     {report.verdict}"]
-    _emit(config, rows, doc, lines)
+    _emit(args, rows, doc, lines)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def cmd_zeros(subcommand: str, path: Optional[str], output: Optional[str],
-              limit: Optional[int], config: RunConfig) -> int:
-    if subcommand == "find":
-        if config.zeros_height is None:
+def cmd_zeros(args) -> int:
+    if args.subcommand == "find":
+        if args.height is None:
             raise DomainError("zeros find requires --height")
-        table = find_zeros(config.zeros_height, precision=config.precision)
-        if output:
-            write_zero_table(table, output)
-            print(f"{len(table)} zeros up to t={config.zeros_height} -> {output}")
+        table = find_zeros(args.height, precision=args.precision)
+        if args.output:
+            write_zero_table(table, args.output)
+            print(f"{len(table)} zeros up to t={args.height} -> {args.output}")
         else:
             for g in table.ordinates:
                 print(g.to_decimal_string(15))
         return EXIT_PASS
-    if subcommand == "check":
-        if not path:
+    if args.subcommand == "check":
+        if not args.path:
             raise DomainError("zeros check requires a file argument")
         try:
-            table = load_zero_table(path, precision=config.precision)
+            table = load_zero_table(args.path, precision=args.precision)
         except ZeroTableError as exc:
             print(f"check failed: {exc}", file=sys.stderr)
             return EXIT_FAIL
         print(f"ok: {len(table)} ordinates, max {float(table.max_ordinate()):.6f}")
         return EXIT_PASS
-    if subcommand == "export":
-        src = path or config.zeros_file
-        if not src or not output:
-            raise DomainError("zeros export requires a source table and --output")
-        table = load_zero_table(src, precision=config.precision)
-        write_zero_table(table, output, limit=limit)
-        n = limit if limit is not None else len(table)
-        print(f"wrote {min(n, len(table))} ordinates -> {output}")
-        return EXIT_PASS
-    raise DomainError(f"unknown zeros subcommand {subcommand!r}")
+    src = args.path or args.zeros_file  # export
+    if not src or not args.output:
+        raise DomainError("zeros export requires a source table and --output")
+    table = load_zero_table(src, precision=args.precision)
+    write_zero_table(table, args.output, limit=args.limit)
+    n = args.limit if args.limit is not None else len(table)
+    print(f"wrote {min(n, len(table))} ordinates -> {args.output}")
+    return EXIT_PASS
 
 
-def cmd_li(n_max: int, config: RunConfig) -> int:
-    if n_max < 1:
+def cmd_li(args) -> int:
+    if args.n_max < 1:
         raise DomainError("li requires n_max >= 1")
-    zeros = _get_zeros(config)
+    zeros = _get_zeros(args)
     rows, lines = [], []
-    for n in range(1, n_max + 1):
-        r = criteria.li_lambda(n, zeros, config.tail_correction, config.precision)
+    for n in range(1, args.n_max + 1):
+        r = criteria.li_lambda(n, zeros, not args.no_tail_correction, args.precision)
         row = {"n": n,
-               "value": r.value().to_decimal_string(config.precision),
+               "value": r.value().to_decimal_string(args.precision),
                "positive": r.value().value > 0,
                "tail_bound": r.tail_bound.to_decimal_string(8)}
         rows.append(row)
         lines.append(f"lambda_{n} = {row['value']}  [{'+' if row['positive'] else '-'}]  "
                      f"(zeros={r.terms_used}, tail_bound={row['tail_bound']})")
-    _emit(config, rows, {"lambda": rows}, lines)
+    _emit(args, rows, {"lambda": rows}, lines)
     return EXIT_PASS
 
 
-def cmd_gn(n: int, k: Optional[int], config: RunConfig) -> int:
-    zeros = _get_zeros(config)
-    K = len(zeros) if k is None else k
-    r = criteria.gn_multisum(n, zeros, K, config.precision)
-    row = {"n": n, "zeros_used": K,
-           "value": r.value().to_decimal_string(config.precision),
+def cmd_gn(args) -> int:
+    zeros = _get_zeros(args)
+    K = len(zeros) if args.k is None else args.k
+    r = criteria.gn_multisum(args.n, zeros, K, args.precision)
+    row = {"n": args.n, "zeros_used": K,
+           "value": r.value().to_decimal_string(args.precision),
            "positive": r.value().value > 0,
            "tail_bound": r.tail_bound.to_decimal_string(8)}
-    _emit(config, [row], row,
-          [f"G_{n} multisum over {K} zeros = {row['value']}  positive={row['positive']}"])
+    _emit(args, [row], row,
+          [f"G_{args.n} multisum over {K} zeros = {row['value']}  positive={row['positive']}"])
     return EXIT_PASS
 
 
@@ -280,10 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="print the core constants, two routes each")
+    p.set_defaults(run=cmd_constants)
     _add_common_flags(p)
 
     p = sub.add_parser("verify", help="compare two routes of a named identity")
     p.add_argument("identity", help="one of: " + ", ".join(criteria.IDENTITY_IDS))
+    p.set_defaults(run=cmd_verify)
     _add_common_flags(p)
 
     p = sub.add_parser("zeros", help="find, check, or export zero tables")
@@ -291,15 +280,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", nargs="?", help="input table (check/export)")
     p.add_argument("--output", help="output file")
     p.add_argument("--limit", type=int, help="truncate export to this many zeros")
+    p.set_defaults(run=cmd_zeros)
     _add_common_flags(p)
 
     p = sub.add_parser("li", help="Keiper-Li coefficients lambda_1..lambda_n")
     p.add_argument("n_max", type=int)
+    p.set_defaults(run=cmd_li)
     _add_common_flags(p)
 
     p = sub.add_parser("gn", help="G_n multisum over the first K zeros")
     p.add_argument("n", type=int)
     p.add_argument("--zeros", dest="k", type=int, help="number of zeros K")
+    p.set_defaults(run=cmd_gn)
     _add_common_flags(p)
 
     return parser
@@ -312,19 +304,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        config = _config(args)
-        if args.command == "constants":
-            return cmd_constants(config)
-        if args.command == "verify":
-            return cmd_verify(args.identity, config)
-        if args.command == "zeros":
-            return cmd_zeros(args.subcommand, args.path, args.output,
-                             args.limit, config)
-        if args.command == "li":
-            return cmd_li(args.n_max, config)
-        if args.command == "gn":
-            return cmd_gn(args.n, args.k, config)
-        raise DomainError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (DomainError, ZeroTableError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,8 +2,8 @@
 
 Provides the value types used everywhere else (ExtendedReal, ExactRational,
 Interval), precision-carrying wrappers around mpmath's log-gamma, digamma
-and polygamma, and adaptive Gauss-Legendre quadrature (mpmath's nodes) with
-order-doubling error estimates.
+and polygamma, and integration over a finite interval by mpmath's quad,
+whose error estimate sets the width of the returned interval.
 
 Everything here is a pure function of its inputs; all types are immutable.
 """
@@ -37,7 +37,7 @@ class DomainError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Target error unreachable within the configured node budget."""
+    """Quadrature's error estimate exceeds the target error."""
 
 
 def _to_mpf(x) -> mpf:
@@ -263,29 +263,7 @@ def polygamma(order: int, x: Number, precision: int | None = None) -> ExtendedRe
 
 
 # ---------------------------------------------------------------------------
-# Adaptive Gauss-Legendre quadrature
-
-_node_cache: dict = {}
-
-
-def _gauss_legendre_nodes(order: int):
-    """Nodes/weights on [-1, 1] at the current mp.dps, cached."""
-    key = (order, mp.dps)
-    if key not in _node_cache:
-        nodes, weights = mp.gauss_quadrature(order, "legendre")
-        _node_cache[key] = (list(nodes), list(weights))
-    return _node_cache[key]
-
-
-def _gl_segment(f, a, b, order, precision):
-    nodes, weights = _gauss_legendre_nodes(order)
-    half = (b - a) / 2
-    mid = (a + b) / 2
-    total = mp.zero
-    for x, w in zip(nodes, weights):
-        q = mid + half * x
-        total += w * _to_mpf(f(ExtendedReal(q, precision)))
-    return total * half
+# Quadrature
 
 
 def quadrature(
@@ -294,14 +272,14 @@ def quadrature(
     b: Number,
     target_error: Number,
     precision: int = DEFAULT_PRECISION,
-    max_evals: int = 200_000,
 ) -> Interval:
-    """Integrate a smooth f over the finite interval [a, b].
+    """Integrate a smooth f over the finite interval [a, b] with mpmath's
+    quad (tanh-sinh), at precision plus guard digits.
 
-    Returns an interval of width <= 2*target_error containing the integral.
-    Each segment is integrated at orders 12 and 24; disagreement beyond the
-    segment's share of the error budget triggers bisection.  Raises
-    QuadratureError if the budget of integrand evaluations runs out.
+    Returns an interval around quad's value whose half-width is quad's
+    error estimate, or 10^-(precision-2) if that is larger.  The width is an
+    estimate, not a proof.  Raises QuadratureError if the estimate exceeds
+    target_error.
     """
     a_x = ExtendedReal.of(a, precision)
     b_x = ExtendedReal.of(b, precision)
@@ -311,29 +289,13 @@ def quadrature(
     if tgt <= 0:
         raise DomainError("target_error must be positive")
     with workdps(precision + _GUARD):
-        total_len = b_x.value - a_x.value
-        stack = [(+a_x.value, +b_x.value)]
-        total = mp.zero
-        err_sum = mp.zero
-        evals = 0
-        while stack:
-            lo, hi = stack.pop()
-            if evals + 36 > max_evals:
-                raise QuadratureError("quadrature node budget exhausted before reaching target error")
-            coarse = _gl_segment(f, lo, hi, 12, precision)
-            fine = _gl_segment(f, lo, hi, 24, precision)
-            evals += 36
-            err = abs(fine - coarse)
-            budget = tgt * (hi - lo) / total_len
-            if err <= budget:
-                total += fine
-                err_sum += err
-            else:
-                mid = (lo + hi) / 2
-                stack.append((lo, mid))
-                stack.append((mid, hi))
-        err_sum = max(err_sum, mpf(10) ** (-(precision - 2)))
+        total, err = mp.quad(lambda q: _to_mpf(f(ExtendedReal(q, precision))),
+                             [a_x.value, b_x.value], error=True)
+        if err > tgt:
+            raise QuadratureError(
+                f"quadrature error estimate {mp.nstr(err, 3)} exceeds target {mp.nstr(tgt, 3)}")
+        err = max(err, mpf(10) ** (-(precision - 2)))
         return Interval(
-            ExtendedReal(total - err_sum, precision),
-            ExtendedReal(total + err_sum, precision),
+            ExtendedReal(total - err, precision),
+            ExtendedReal(total + err, precision),
         )

@@ -215,6 +215,7 @@ def zero_count_check(table: ZeroTable, T) -> bool:
         return abs(table.count_below(t) - est) < COUNT_CHECK_SLACK
 
 
+REFINE_TOL = 1e-9  # width of a refined bracket, a computed table's claimed accuracy
 REFINE_MAX_EVALS = 100
 
 
@@ -311,11 +312,7 @@ def _block_brackets(z, block: list) -> list:
         spent += 1
 
 
-def find_zeros(
-    t_max,
-    refine_tol: float = 1e-9,
-    precision: int = DEFAULT_PRECISION,
-) -> ZeroTable:
+def find_zeros(t_max, precision: int = DEFAULT_PRECISION) -> ZeroTable:
     """All zeros with ordinate in (0, t_max], found as sign changes of
     Hardy Z at and between the Gram points and refined by Illinois regula
     falsi, with their count proven by Turing's method.
@@ -333,8 +330,9 @@ def find_zeros(
     t_max are refined: one Z(t_max) says on which side of t_max the zero of
     a straddling bracket lies.
 
-    Each ordinate is the midpoint of a bracket no wider than refine_tol
-    across which Z changes sign.  Proven: the count, given the signs of Z.
+    Each ordinate is the midpoint of a bracket no wider than REFINE_TOL
+    across which Z changes sign, and REFINE_TOL is the table's claimed
+    accuracy.  Proven: the count, given the signs of Z.
     Not proven: the signs themselves, which rest on the Euler-Maclaurin
     evaluation at the scan precision without an error bound.  Brent's
     constants also rest on Lehman's bound for the integral of S(t), which
@@ -347,9 +345,9 @@ def find_zeros(
         raise DomainError(f"t_max={t_max} must be > 0")
     if t_max > SUPPORTED_HEIGHT:
         raise DomainError(f"t_max={t_max} above supported height {SUPPORTED_HEIGHT}")
-    # scanning precision only needs to resolve refine_tol, not the caller's
+    # scanning precision only needs to resolve REFINE_TOL, not the caller's
     # reporting precision
-    scan_dps = max(15, int(-math.log10(refine_tol)) + 8)
+    scan_dps = max(15, int(-math.log10(REFINE_TOL)) + 8)
     with workdps(scan_dps):
         z = _hardy_z_raw
         gram = _gram_points()
@@ -381,11 +379,11 @@ def find_zeros(
                 z_hi = z(hi)
                 if (z_lo < 0) == (z_hi < 0):
                     break  # the zero lies above t_max
-            ordinates.append(_refine(z, lo, hi, z_lo, z_hi, refine_tol))
+            ordinates.append(_refine(z, lo, hi, z_lo, z_hi, REFINE_TOL))
         table = ZeroTable(
             tuple(ExtendedReal(g, precision) for g in ordinates),
             "computed",
-            ExtendedReal.of(refine_tol, precision),
+            ExtendedReal.of(REFINE_TOL, precision),
         )
         if not zero_count_check(table, t_max):
             raise MissedZeroError(
@@ -435,7 +433,10 @@ def load_zero_table(
     return table
 
 
-def write_zero_table(table: ZeroTable, path, digits: int = 15, limit: int | None = None):
+TABLE_DIGITS = 15  # significant digits of each ordinate written to a table
+
+
+def write_zero_table(table: ZeroTable, path, limit: int | None = None):
     """Write the table in the same plain-text format, the first `limit`
     ordinates only if a limit (>= 1) is given."""
     if limit is not None and limit < 1:
@@ -445,4 +446,4 @@ def write_zero_table(table: ZeroTable, path, digits: int = 15, limit: int | None
         fh.write(f"# {len(ords)} zeta-zero ordinates ({table.source}), "
                  f"accuracy {float(table.claimed_accuracy.value):.2e}\n")
         for g in ords:
-            fh.write(mp.nstr(g.value, digits, strip_zeros=False) + "\n")
+            fh.write(mp.nstr(g.value, TABLE_DIGITS, strip_zeros=False) + "\n")

@@ -89,6 +89,33 @@ def test_env_overrides(capsys, monkeypatch):
     assert doc["routes"][0]["terms"] == 5000
 
 
+@pytest.mark.parametrize("name,value", [
+    ("PRECISION", "abc"),
+    ("PRECISION", "10"),
+    ("TERMS", "abc"),
+    ("TERMS", "0"),
+    ("HEIGHT", "abc"),
+    ("HEIGHT", "nan"),
+    ("HEIGHT", "-1"),
+    ("FORMAT", "xml"),
+])
+def test_bad_env_value_usage_error(capsys, monkeypatch, name, value):
+    # checked like the flag it stands for, before any command runs
+    monkeypatch.setenv("ZETASUM_" + name, value)
+    code, out, err = run(capsys, "verify", "log2")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"error: argument --{name.lower()}: " in err
+
+
+def test_flag_wins_over_bad_env_value(capsys, monkeypatch):
+    monkeypatch.setenv("ZETASUM_FORMAT", "xml")
+    code, out, _ = run(capsys, "verify", "log2", "--terms", "5000",
+                       "--format", "json")
+    assert code == EXIT_PASS
+    assert json.loads(out)["verdict"] == "pass"
+
+
 def test_constants_text(capsys):
     code, out, _ = run(capsys, "constants", "--terms", "5000")
     assert code == EXIT_PASS

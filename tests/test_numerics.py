@@ -7,6 +7,7 @@ from zetasum.numerics import (
     DomainError,
     ExtendedReal,
     Interval,
+    QuadratureError,
     digamma,
     euler_gamma,
     ln2,
@@ -133,6 +134,13 @@ def test_quadrature_log():
     res = quadrature(lambda q: 1 / q, 1, 2, target_error=1e-18, precision=30)
     with workdps(40):
         assert res.contains(mp.ln(2))
+
+
+def test_quadrature_target_error_unreached():
+    # a kink inside the interval keeps the error estimate far above target
+    with pytest.raises(QuadratureError):
+        quadrature(lambda q: abs(q - mpf(1) / 3), 0, 1, target_error=1e-20,
+                   precision=30)
 
 
 def test_exact_rational_round_trip():

@@ -78,6 +78,7 @@ _precision = _checked(int, lambda p: p >= MIN_PRECISION, f"must be >= {MIN_PRECI
 _terms = _checked(int, lambda n: n >= 1, "must be >= 1")
 _height = _checked(float, lambda t: t > 0, "must be > 0")  # NaN fails too
 _format = _checked(str, FORMATS.__contains__, "must be one of " + ", ".join(FORMATS))
+_switch = _checked({"1": True, "0": False}.get, lambda on: on is not None, "must be 1 or 0")
 
 
 def _add_common_flags(p: argparse.ArgumentParser):
@@ -92,9 +93,11 @@ def _add_common_flags(p: argparse.ArgumentParser):
                    help="compute zeros up to this ordinate instead of loading")
     p.add_argument("--format", type=_format, default=_env("FORMAT", "text"),
                    metavar="{" + ",".join(FORMATS) + "}")
+    # store_true takes no type argument, but argparse converts a string
+    # default with the action's type all the same
     p.add_argument("--no-tail-correction", action="store_true",
-                   default=_env("NO_TAIL_CORRECTION") == "1",
-                   help="skip density-based completion of zero sums")
+                   default=_env("NO_TAIL_CORRECTION", False),
+                   help="skip density-based completion of zero sums").type = _switch
 
 
 def _get_zeros(args) -> ZeroTable:
@@ -136,13 +139,16 @@ def _emit(args, rows: list, doc: dict, lines: list):
 def cmd_constants(args) -> int:
     p = args.precision
     N = args.terms or 100_000
-    lp = log4pi_paired(N, precision=p)
-    s = log2_series(N, precision=p)
+    # only the p printed digits are read: the digit series are summed in
+    # fixed point at every N (exact_limit=1), never as an exact Fraction
+    lp = log4pi_paired(N, exact_limit=1, precision=p)
+    s = log2_series(N, exact_limit=1, precision=p)
     routes = [  # (constant, label, SeriesResult)
-        ("gamma", "gamma_addison", gamma_addison(N, precision=p)),
+        ("gamma", "gamma_addison", gamma_addison(N, exact_limit=1, precision=p)),
         ("gamma", "stieltjes[0]", stieltjes(StieltjesRequest(0), p)),
         ("ln(4/pi)", "log4pi_paired", lp),
-        ("ln(4/pi)", "log4pi_alternating", log4pi_alternating(2 * N + 1, precision=p)),
+        ("ln(4/pi)", "log4pi_alternating",
+         log4pi_alternating(2 * N + 1, exact_limit=1, precision=p)),
         ("ln 2", "3/4 - log2_series",
          SeriesResult(ExtendedReal.of(mpf(3) / 4, p) - s.value(p),
                       s.terms_used, s.tail_bound, "log2_series")),
@@ -151,7 +157,7 @@ def cmd_constants(args) -> int:
          SeriesResult(2 * ln2(p) - lp.value(p), lp.terms_used,
                       lp.tail_bound, "log4pi_paired")),
         ("ln pi", "reference", criteria._const_route("reference", ln_pi(p), p)),
-        ("gamma - ln(4 pi) + 2", "main_series", main_series(N, precision=p)),
+        ("gamma - ln(4 pi) + 2", "main_series", main_series(N, exact_limit=1, precision=p)),
         ("gamma - ln(4 pi) + 2", "p01_integral", p01_integral(min(N, 2000), precision=p)),
     ]
     grouped: dict = {}

@@ -355,33 +355,35 @@ _TARGET = ("gamma - ln(4 pi) + 2",
 
 # identity id -> (label_a, route_a(N, p), label_b, route_b(p), default N).
 # Each route looks its function up by name when it runs, so that a module
-# global replaced at run time (as a tracer does) is the one called.
+# global replaced at run time (as a tracer does) is the one called.  Only a
+# route's value at p digits is read, so the digit series are summed in
+# fixed point at every N (exact_limit=1), never as an exact Fraction.
 _IDENTITIES = {
-    "itog": ("main_series", lambda N, p: main_series(N, precision=p),
+    "itog": ("main_series", lambda N, p: main_series(N, exact_limit=1, precision=p),
              *_TARGET, 1_000_000),
     "p01": ("p01_integral", lambda N, p: p01_integral(N, precision=p),
             *_TARGET, 1_000),
     "p12": ("p12_series", lambda N, p: p12_series(N, precision=p),
             *_TARGET, 10_000),
-    "pochti": ("combined_pochti", lambda N, p: combined_pochti(N, precision=p),
+    "pochti": ("combined_pochti", lambda N, p: combined_pochti(N, exact_limit=1, precision=p),
                "gamma - ln pi + ln 2",
                lambda p: _const_route("constant", euler_gamma(p) - ln_pi(p) + ln2(p), p),
                100_000),
-    "log2": ("log2_series", lambda N, p: log2_series(N, precision=p),
+    "log2": ("log2_series", lambda N, p: log2_series(N, exact_limit=1, precision=p),
              "3/4 - ln 2",
              lambda p: _const_route("constant", ExtendedReal.of(0.75, p) - ln2(p), p),
              100_000),
-    "addison": ("gamma_addison", lambda N, p: gamma_addison(N, precision=p),
+    "addison": ("gamma_addison", lambda N, p: gamma_addison(N, exact_limit=1, precision=p),
                 "stieltjes(0)", lambda p: stieltjes(StieltjesRequest(0), p),
                 100_000),
-    "vacca_dual": ("log4pi_paired", lambda N, p: log4pi_paired(N, precision=p),
+    "vacca_dual": ("log4pi_paired", lambda N, p: log4pi_paired(N, exact_limit=1, precision=p),
                    "ln(4/pi)", lambda p: _const_route("constant", 2 * ln2(p) - ln_pi(p), p),
                    100_000),
-    "dual_addison": ("log2pi_dual", lambda N, p: log2pi_dual(N, precision=p),
+    "dual_addison": ("log2pi_dual", lambda N, p: log2pi_dual(N, exact_limit=1, precision=p),
                      "ln(2/pi)", lambda p: _const_route("constant", ln2(p) - ln_pi(p), p),
                      100_000),
     "pochtipochti": ("pochtipochti_series",
-                     lambda N, p: pochtipochti_series(N, precision=p),
+                     lambda N, p: pochtipochti_series(N, exact_limit=1, precision=p),
                      "gamma - ln pi - 2 ln 2 + 9/4",
                      lambda p: _const_route(
                          "constant",

@@ -11,9 +11,10 @@ incomplete gamma functions of integer order and so finite sums in closed
 form.  The majorant therefore needs no root isolation, whatever the sign
 changes of f^(p).
 
-The fractional-part integral is evaluated term by term in closed form
-(partial fractions on each unit interval); generic quadrature is kept as an
-independent cross-check.
+The fractional-part integral is summed in closed form: partial fractions
+on each unit interval, then summation by parts over the intervals, so N
+intervals cost one log-gamma and N integer divisions; generic quadrature
+is kept as an independent cross-check.
 
 The digamma midpoint series sums t(n) = psi(n) - integral of psi over
 [n - 1/2, n + 1/2].  Since Gamma(n + 1/2) = (n - 1/2) Gamma(n - 1/2), the
@@ -36,7 +37,7 @@ from .numerics import (
     ExtendedReal,
     _GUARD,
 )
-from .digit_series import SeriesResult
+from .digit_series import _FIXED_GUARD_BITS, SeriesResult
 
 MAX_STIELTJES_INDEX = 8
 # The automatic correction order stops here even if 10^-(P+2) is not met;
@@ -207,16 +208,12 @@ def _p01_term_raw(n: int) -> mpf:
     return val / 2
 
 
-def _p01_guard(n: int, precision: int) -> int:
-    # the closed form cancels ~5*log10(n) digits (term ~ n^-4, pieces ~ n)
-    return precision + _GUARD + 5 * len(str(n))
-
-
 def p01_term(n: int, precision: int = DEFAULT_PRECISION) -> ExtendedReal:
     """Integral of the fractional-part integrand over [n, n+1]; positive."""
     if n < 1:
         raise DomainError("p01_term requires n >= 1")
-    with workdps(_p01_guard(n, precision)):
+    # the closed form cancels ~5*log10(n) digits (term ~ n^-4, pieces ~ n)
+    with workdps(precision + _GUARD + 5 * len(str(n))):
         return ExtendedReal(_p01_term_raw(n), precision)
 
 
@@ -233,35 +230,54 @@ def p01_integral(N: int, precision: int = DEFAULT_PRECISION) -> SeriesResult:
     """Sum of the first N unit-interval pieces of the fractional-part
     integral; converges to gamma - ln(4 pi) + 2.
 
+    The sum is taken in closed form, by summation by parts over the terms
+    of _p01_term_raw.  With A_n = 2n^2 + 2n - 2, whose second difference is
+    4, the logarithms of the N terms sum to
+
+        sum_{n<=N} A_n (2 ln(n+1) - ln n - ln(n+2))
+            = -2 ln 2 - 4 lnGamma(N+1) + a ln(N+1) - b ln(N+2),
+
+    a = 2A_N - A_(N-1) = 2N^2 + 6N - 2 and b = A_N.  At N = 1, where no
+    n = 0 term is summed, the -2 ln 2 cancels the -A_0 ln 2 = 2 ln 2 in
+    a ln 2, so the form holds for every N >= 1.  The rational pieces of
+    term n are 1/n - 1 + 1/(n+1) - 1, so they sum to exactly
+    R = H_N + H_(N+1) - 1 - 2N.  H_N is summed in fixed point with F
+    fraction bits, one floor per integer division, not through psi, so
+    that the route stays independent of Euler's gamma.  The value is half
+    the sum of these five pieces.  p01_term remains the per-term
+    evaluation.
+
     Tail bound: the integrand is at most 1/(2 q^4), so the omitted part is
     below 1/(6 (N+1)^3).
 
-    Rounding: take each mpmath operation to err by at most u relative, u
-    the working precision's eps (one ulp), and let l = ln(N + 2) >= 1 and
-    M = (n + 2)^2.  In _p01_term_raw(n), |A| <= 2M and |B|, |D| <= M.
-    Each logarithm errs by at most u l, so a difference of two (below 1)
-    by 3 u l and its A-multiple by 2 M u (3 l + 2); each reciprocal errs by
-    at most u, a difference of two by 4 u and its B- or D-multiple by
-    6 u M.  The four pieces are each at most 2M in size, so each of the
-    three additions errs by at most 7 u M, and halving is exact: the term
-    errs by at most u M (6 l + 21).  With sum_{n<=N} (n + 2)^2 <=
-    (N + 3)^3/3 the N terms err by at most u (2 l + 7)(N + 3)^3 together,
-    and each of the N additions by at most u, the partial sums staying
-    below 1.  The cancellation is in the (N + 3)^3: about 3 log10 N
-    digits, which the 5 per digit of N in _p01_guard cover.  The returned
-    value is the sum lowered by r = u ((2 l + 7)(N + 3)^3 + N + 3), the 3
-    covering the roundings of that shift, of the tail and of the bound's
-    sum, and the tail bound grows by 2r, so [value, value + tail_bound]
-    still encloses the integral.  The slack in the bound on the squares
-    absorbs the rounding of r itself.
+    Rounding: take each mpmath operation (logarithm, log-gamma, product,
+    sum, conversion) to err by at most u relative, u the working
+    precision's eps (one ulp), and let l = ln(N + 2).  The two products
+    err by at most 3u times their size, as do 4 lnGamma(N+1) and 2 ln 2.
+    The floors in R (H_N's N floors count twice) lose less than
+    (2N + 1) 2^-F <= 2^-(prec + 8), with F = prec + (2N + 1).bit_length()
+    + 8, and |R| >= 1/2, so R too errs by at most 3u |R|.  The pieces
+    total at most M = (a + b) l + 4 N l + 2 + 2N + 1 <= 4 (N + 2)^2 l in
+    size, each of the four additions errs by at most u M (1 + 3u), and
+    halving is exact: the value errs by at most 4u M <= 16 u (N + 2)^2 l.
+    The cancellation is in the (N + 2)^2 l, about 2 log10 N digits, which
+    the two guard digits per digit of N + 2 (plus two) cover.  The
+    returned value is the sum lowered by r = 17 u (N + 2)^2 l, the extra
+    u (N + 2)^2 l covering the roundings of r, of that shift and of the
+    bound's sum, and the tail bound grows by 2r, so [value, value +
+    tail_bound] still encloses the integral.
     """
     if N < 1:
         raise DomainError("p01_integral requires N >= 1")
-    with workdps(_p01_guard(N, precision)):
-        acc = mp.zero
-        for n in range(1, N + 1):
-            acc += _p01_term_raw(n)
-        rounding = ((2 * mp.ln(N + 2) + 7) * mpf(N + 3) ** 3 + N + 3) * mp.eps
+    with workdps(precision + _GUARD + 2 * len(str(N + 2)) + 2):
+        a, b = 2 * N * N + 6 * N - 2, 2 * N * N + 2 * N - 2
+        F = mp.prec + (2 * N + 1).bit_length() + _FIXED_GUARD_BITS
+        one = 1 << F
+        harmonic = sum(one // k for k in range(1, N + 1))
+        rational = 2 * harmonic + one // (N + 1) - (2 * N + 1) * one
+        acc = (a * mp.ln(N + 1) - b * mp.ln(N + 2) - 4 * mp.loggamma(N + 1)
+               - 2 * mp.ln(2) + mp.ldexp(rational, -F)) / 2
+        rounding = 17 * mp.eps * (N + 2) ** 2 * mp.ln(N + 2)
         bound = mpf(1) / (6 * (N + 1) ** 3) + 2 * rounding
         return SeriesResult(
             ExtendedReal(acc - rounding, precision),

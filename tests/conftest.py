@@ -1,6 +1,8 @@
 import os
+from fractions import Fraction
 
 import pytest
+from mpmath import mp, mpf
 
 from zetasum.zeta_zeros import ZeroTable, find_zeros, load_zero_table
 
@@ -10,6 +12,12 @@ ZEROS_FILE = os.path.join(DATA_DIR, "zeros_10k.txt")
 # scorecard lines recorded by the acceptance tests, replayed after the run
 # (capture would otherwise swallow lines from passing tests)
 SCORECARD_FILE = os.path.join(os.path.dirname(__file__), ".acceptance_lines")
+
+
+def exact_value(x: mpf) -> Fraction:
+    """The mpf x as the exact rational it is."""
+    man, exp = x.man_exp  # man is the absolute mantissa
+    return int(mp.sign(x)) * Fraction(man) * Fraction(2) ** exp
 
 
 def record_acceptance_line(line: str):

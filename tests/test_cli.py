@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from zetasum.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
+from zetasum.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, build_parser, main
 from tests.conftest import ZEROS_FILE
 
 
@@ -106,6 +106,26 @@ def test_bad_env_value_usage_error(capsys, monkeypatch, name, value):
     assert code == EXIT_USAGE
     assert out == ""
     assert f"error: argument --{name.lower()}: " in err
+
+
+@pytest.mark.parametrize("value", ["true", "yes", "2", " 1"])
+def test_bad_switch_env_value_usage_error(capsys, monkeypatch, value):
+    # ZETASUM_NO_TAIL_CORRECTION takes 1 or 0, checked like the typed flags
+    monkeypatch.setenv("ZETASUM_NO_TAIL_CORRECTION", value)
+    code, out, err = run(capsys, "verify", "log2")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error: argument --no-tail-correction: must be 1 or 0" in err
+
+
+@pytest.mark.parametrize("value,argv,off", [
+    ("1", [], True), ("0", [], False), ("", [], False),
+    ("true", ["--no-tail-correction"], True),
+])
+def test_switch_env_value(monkeypatch, value, argv, off):
+    monkeypatch.setenv("ZETASUM_NO_TAIL_CORRECTION", value)
+    args = build_parser().parse_args(["verify", "p0_zeros", *argv])
+    assert args.no_tail_correction is off
 
 
 def test_flag_wins_over_bad_env_value(capsys, monkeypatch):

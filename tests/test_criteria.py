@@ -3,7 +3,8 @@ import random
 import pytest
 from mpmath import mp, mpc, mpf, workdps
 
-from zetasum import criteria
+from zetasum import criteria, digit_series
+from zetasum.cli import EXIT_PASS, main
 from zetasum.criteria import (
     IdentityReport,
     TailCorrection,
@@ -15,7 +16,7 @@ from zetasum.criteria import (
     zero_sum_p0,
 )
 from zetasum.numerics import DomainError, ExtendedReal, target_constant
-from tests.conftest import ZEROS_FILE
+from tests.conftest import ZEROS_FILE, exact_value
 from zetasum.zeta_zeros import ZeroTable, load_zero_table
 
 # frozen direct-arithmetic oracles from the 20-digit first ordinate
@@ -379,6 +380,38 @@ def test_report_verdict_consistency():
         IdentityReport(rep.identity_id, rep.route_a, rep.route_b,
                        rep.discrepancy, rep.tolerance,
                        "fail" if rep.verdict == "pass" else "pass")
+
+
+# identity -> its digit-series route
+DIGIT_ROUTES = {
+    "itog": "main_series", "pochti": "combined_pochti", "log2": "log2_series",
+    "addison": "gamma_addison", "vacca_dual": "log4pi_paired",
+    "dual_addison": "log2pi_dual", "pochtipochti": "pochtipochti_series",
+}
+
+
+def test_verifier_never_sums_exactly(monkeypatch, capsys):
+    # the verifier and the constants command read only p digits of each
+    # digit route, so they sum in fixed point at every N, default N included
+    def no_exact_sum(*args):
+        raise AssertionError("exact sum built for a route read at p digits")
+
+    monkeypatch.setattr(digit_series, "_tree_sum", no_exact_sum)
+    for identity in DIGIT_ROUTES:
+        assert verify_identity(identity).passed, identity
+    assert main(["constants"]) == EXIT_PASS
+    assert "main_series" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("identity", DIGIT_ROUTES)
+def test_verifier_route_encloses_exact_sum(identity):
+    N = 20_000
+    route = verify_identity(identity, terms=N, precision=30).route_a[1]
+    exact = getattr(digit_series, DIGIT_ROUTES[identity])(N, exact_limit=N)
+    assert exact.is_exact_rational() and not route.is_exact_rational()
+    enclosure = route.enclosure()
+    assert exact_value(enclosure.lower.value) <= exact.partial_sum \
+        <= exact_value(enclosure.upper.value)
 
 
 @pytest.mark.parametrize("identity", ["log2", "p01"])

@@ -25,6 +25,7 @@ from zetasum.digit_series import (
 )
 from zetasum.numerics import (
     DomainError, ExtendedReal, euler_gamma, ln2, ln_pi, target_constant)
+from tests.conftest import exact_value as _exact
 
 SPECS = {spec.name: spec for spec in digit_series._SPECS}
 
@@ -71,11 +72,6 @@ def test_exact_limit_switch():
         diff = abs(approx.value().value -
                    mpf(exact.partial_sum.numerator) / exact.partial_sum.denominator)
         assert diff < mpf(10) ** -45
-
-
-def _exact(x: mpf) -> Fraction:
-    man, exp = x.man_exp  # man is the absolute mantissa
-    return int(mp.sign(x)) * Fraction(man) * Fraction(2) ** exp
 
 
 @pytest.mark.parametrize("fn", [main_series, gamma_addison, log2pi_dual])

@@ -1,3 +1,4 @@
+import time
 from itertools import islice
 
 import pytest
@@ -167,6 +168,49 @@ def test_p01_integral_bound_covers_rounding():
         assert 0 < r < mpf(10) ** -20
         v = low.value().value
         assert v <= high.value().value <= v + 2 * r
+
+
+def _p01_rounding(r, N):
+    # the returned sum is lowered by its rounding term and the bound widened
+    # by twice that term
+    return (r.tail_bound.value - mpf(1) / (6 * (N + 1) ** 3)) / 2
+
+
+@pytest.mark.parametrize("Ns", [range(1, 41), [1000]], ids=["1..40", "1000"])
+def test_p01_integral_closed_form_matches_term_sum(Ns):
+    # the closed form against the per-term oracle summed at 60 digits: the
+    # sum lies between the returned value and value + 2r
+    for N in Ns:
+        r = p01_integral(N, 30)
+        with workdps(80):
+            terms = mp.fsum(p01_term(n, 60).value for n in range(1, N + 1))
+            rounding = _p01_rounding(r, N)
+            v = r.value().value
+            assert 0 < rounding < mpf(10) ** -40
+            assert v <= terms <= v + 2 * rounding, N
+
+
+def test_p01_integral_encloses_quadrature_reference():
+    # the whole integral by an 80-digit quadrature, independent of the
+    # closed form: over all unit intervals the partial fractions of
+    # 1/(q^2 (q+1)^2) at q = n + u sum to
+    # 2 psi'(1+u) - 1/(1+u)^2 - 2/(1+u)
+    with workdps(80):
+        reference = mp.quad(lambda u: (1 - u * u) / 2 * (
+            2 * mp.psi(1, 1 + u) - 1 / (1 + u) ** 2 - 2 / (1 + u)), [0, 1])
+        assert abs(reference - target_constant(70).value) < mpf(10) ** -70
+    for N in (1, 2, 3, 1000):
+        r = p01_integral(N, 50)
+        assert r.enclosure().contains(reference), N
+
+
+def test_p01_integral_closed_form_is_fast():
+    # one log-gamma and N integer divisions, not N terms of logarithms
+    t = time.perf_counter()
+    r = p01_integral(10 ** 5)
+    assert time.perf_counter() - t < 1.0
+    with workdps(80):
+        assert 0 < _p01_rounding(r, 10 ** 5) < mpf(10) ** -55
 
 
 def test_p01_domain():

@@ -1,5 +1,7 @@
 """Command-line surface: compute constants, run identity verifications,
-manage zero tables, emit machine-readable reports.
+manage zero tables, emit machine-readable reports.  The routes of
+`constants` and `verify` live in criteria's tables; this module formats
+what they return.
 
 argparse is the only place inputs are parsed, checked and dispatched: each
 subcommand's parser names its handler, and the handlers read the parsed
@@ -20,25 +22,8 @@ import json
 import os
 import sys
 
-from mpmath import mpf
-
-from .numerics import (
-    DEFAULT_PRECISION,
-    MIN_PRECISION,
-    DomainError,
-    ExtendedReal,
-    ln2,
-    ln_pi,
-)
-from .digit_series import (
-    SeriesResult,
-    gamma_addison,
-    log4pi_alternating,
-    log4pi_paired,
-    log2_series,
-    main_series,
-)
-from .special_series import StieltjesRequest, p01_integral, stieltjes
+from .numerics import DEFAULT_PRECISION, MIN_PRECISION, DomainError
+from .digit_series import SeriesResult
 from .zeta_zeros import (
     MissedZeroError,
     ZeroTable,
@@ -75,7 +60,7 @@ def _checked(convert, ok, rule: str):
 
 
 _precision = _checked(int, lambda p: p >= MIN_PRECISION, f"must be >= {MIN_PRECISION}")
-_terms = _checked(int, lambda n: n >= 1, "must be >= 1")
+_positive = _checked(int, lambda n: n >= 1, "must be >= 1")
 _height = _checked(float, lambda t: t > 0, "must be > 0")  # NaN fails too
 _format = _checked(str, FORMATS.__contains__, "must be one of " + ", ".join(FORMATS))
 _switch = _checked({"1": True, "0": False}.get, lambda on: on is not None, "must be 1 or 0")
@@ -85,7 +70,7 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--precision", type=_precision,
                    default=_env("PRECISION", DEFAULT_PRECISION),
                    help=f"working precision in decimal digits (>= {MIN_PRECISION})")
-    p.add_argument("--terms", type=_terms, default=_env("TERMS"),
+    p.add_argument("--terms", type=_positive, default=_env("TERMS"),
                    help="series term count override")
     p.add_argument("--zeros-file", default=_env("ZEROS_FILE"),
                    help="path to a zero-ordinate table")
@@ -139,30 +124,8 @@ def _emit(args, rows: list, doc: dict, lines: list):
 def cmd_constants(args) -> int:
     p = args.precision
     N = args.terms or 100_000
-    # only the p printed digits are read: the digit series are summed in
-    # fixed point at every N (exact_limit=1), never as an exact Fraction
-    lp = log4pi_paired(N, exact_limit=1, precision=p)
-    s = log2_series(N, exact_limit=1, precision=p)
-    routes = [  # (constant, label, SeriesResult)
-        ("gamma", "gamma_addison", gamma_addison(N, exact_limit=1, precision=p)),
-        ("gamma", "stieltjes[0]", stieltjes(StieltjesRequest(0), p)),
-        ("ln(4/pi)", "log4pi_paired", lp),
-        ("ln(4/pi)", "log4pi_alternating",
-         log4pi_alternating(2 * N + 1, exact_limit=1, precision=p)),
-        ("ln 2", "3/4 - log2_series",
-         SeriesResult(ExtendedReal.of(mpf(3) / 4, p) - s.value(p),
-                      s.terms_used, s.tail_bound, "log2_series")),
-        ("ln 2", "reference", criteria._const_route("reference", ln2(p), p)),
-        ("ln pi", "2 ln 2 - log4pi_paired",
-         SeriesResult(2 * ln2(p) - lp.value(p), lp.terms_used,
-                      lp.tail_bound, "log4pi_paired")),
-        ("ln pi", "reference", criteria._const_route("reference", ln_pi(p), p)),
-        ("gamma - ln(4 pi) + 2", "main_series", main_series(N, exact_limit=1, precision=p)),
-        ("gamma - ln(4 pi) + 2", "p01_integral", p01_integral(min(N, 2000), precision=p)),
-    ]
-    grouped: dict = {}
-    for name, label, r in routes:
-        grouped.setdefault(name, []).append(_route_dict(label, r, p))
+    grouped = {name: [_route_dict(label, route(N, p), p) for label, route in routes]
+               for name, routes in criteria.CONSTANTS.items()}
     rows = [{"constant": name, **route} for name, group in grouped.items() for route in group]
     lines = []
     for name, group in grouped.items():
@@ -232,8 +195,6 @@ def cmd_zeros(args) -> int:
 
 
 def cmd_li(args) -> int:
-    if args.n_max < 1:
-        raise DomainError("li requires n_max >= 1")
     zeros = _get_zeros(args)
     rows, lines = [], []
     for n in range(1, args.n_max + 1):
@@ -255,7 +216,7 @@ def cmd_gn(args) -> int:
     r = criteria.gn_multisum(args.n, zeros, K, args.precision)
     row = {"n": args.n, "zeros_used": K,
            "value": r.value().to_decimal_string(args.precision),
-           "positive": r.value().value > 0,
+           "positive": r.enclosure().lower.value > 0,
            "tail_bound": r.tail_bound.to_decimal_string(8)}
     _emit(args, [row], row,
           [f"G_{args.n} multisum over {K} zeros = {row['value']}  positive={row['positive']}"])
@@ -290,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
 
     p = sub.add_parser("li", help="Keiper-Li coefficients lambda_1..lambda_n")
-    p.add_argument("n_max", type=int)
+    p.add_argument("n_max", type=_positive)
     p.set_defaults(run=cmd_li)
     _add_common_flags(p)
 

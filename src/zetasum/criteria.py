@@ -1,4 +1,5 @@
-"""Zero-sum quantities and the cross-representation identity verifier.
+"""Zero-sum quantities, the cross-representation identity verifier, and
+the route tables that both `zetasum verify` and `zetasum constants` read.
 
 Zero sums fold conjugate pairs onto positive ordinates: with rho = 1/2 +
 i*gamma on the critical line, rho(1-rho) = 1/4 + gamma^2 is real, so every
@@ -35,6 +36,7 @@ from .digit_series import (
     gamma_addison,
     log2_series,
     log2pi_dual,
+    log4pi_alternating,
     log4pi_paired,
     main_series,
     pochtipochti_series,
@@ -343,53 +345,82 @@ def gn_multisum(
 
 
 # ---------------------------------------------------------------------------
-# Identity verifier
+# Route tables: the identity verifier's and the constants command's
+#
+# Every route is route(N, p) -> SeriesResult; a closed form ignores N.  A
+# route looks up each function it calls by name when it runs, so that a
+# module global replaced at run time (as a tracer does) is the one called.
 
-def _const_route(label: str, value: ExtendedReal, precision: int) -> SeriesResult:
-    slack = ExtendedReal.of(mpf(10) ** (-(precision - 2)), precision)
-    return SeriesResult(value, 0, slack, label)
+def _digit(name: str):
+    """The digit series called name, as a route.  Only its value at p
+    digits is read, so it is summed in fixed point at every N, never as an
+    exact Fraction."""
+    return lambda N, p: globals()[name](N, exact_limit=1, precision=p)
 
 
-_TARGET = ("gamma - ln(4 pi) + 2",
-           lambda p: _const_route("constant", target_constant(p), p))
+def _closed(label: str, value):
+    """The closed form value(p), with the rounding slack 10^-(p-2) as its
+    bound."""
+    return lambda N, p: SeriesResult(
+        value(p), 0, ExtendedReal.of(mpf(10) ** (-(p - 2)), p), label)
 
-# identity id -> (label_a, route_a(N, p), label_b, route_b(p), default N).
-# Each route looks its function up by name when it runs, so that a module
-# global replaced at run time (as a tracer does) is the one called.  Only a
-# route's value at p digits is read, so the digit series are summed in
-# fixed point at every N (exact_limit=1), never as an exact Fraction.
+
+def _less(shift, route):
+    """shift(p) minus the route's value, with the route's terms and bound."""
+    def less(N, p):
+        r = route(N, p)
+        return SeriesResult(shift(p) - r.value(p), r.terms_used, r.tail_bound, r.series_id)
+    return less
+
+
+def _stieltjes0(N, p):
+    return stieltjes(StieltjesRequest(0), p)
+
+
+_TARGET = ("gamma - ln(4 pi) + 2", _closed("constant", lambda p: target_constant(p)))
+_P01 = ("p01_integral", lambda N, p: p01_integral(N, precision=p))
+
+# identity id -> (label_a, route_a, label_b, route_b, default N)
 _IDENTITIES = {
-    "itog": ("main_series", lambda N, p: main_series(N, exact_limit=1, precision=p),
-             *_TARGET, 1_000_000),
-    "p01": ("p01_integral", lambda N, p: p01_integral(N, precision=p),
-            *_TARGET, 1_000),
-    "p12": ("p12_series", lambda N, p: p12_series(N, precision=p),
-            *_TARGET, 10_000),
-    "pochti": ("combined_pochti", lambda N, p: combined_pochti(N, exact_limit=1, precision=p),
+    "itog": ("main_series", _digit("main_series"), *_TARGET, 1_000_000),
+    "p01": (*_P01, *_TARGET, 1_000),
+    "p12": ("p12_series", lambda N, p: p12_series(N, precision=p), *_TARGET, 10_000),
+    "pochti": ("combined_pochti", _digit("combined_pochti"),
                "gamma - ln pi + ln 2",
-               lambda p: _const_route("constant", euler_gamma(p) - ln_pi(p) + ln2(p), p),
+               _closed("constant", lambda p: euler_gamma(p) - ln_pi(p) + ln2(p)),
                100_000),
-    "log2": ("log2_series", lambda N, p: log2_series(N, exact_limit=1, precision=p),
-             "3/4 - ln 2",
-             lambda p: _const_route("constant", ExtendedReal.of(0.75, p) - ln2(p), p),
+    "log2": ("log2_series", _digit("log2_series"),
+             "3/4 - ln 2", _closed("constant", lambda p: ExtendedReal.of(0.75, p) - ln2(p)),
              100_000),
-    "addison": ("gamma_addison", lambda N, p: gamma_addison(N, exact_limit=1, precision=p),
-                "stieltjes(0)", lambda p: stieltjes(StieltjesRequest(0), p),
-                100_000),
-    "vacca_dual": ("log4pi_paired", lambda N, p: log4pi_paired(N, exact_limit=1, precision=p),
-                   "ln(4/pi)", lambda p: _const_route("constant", 2 * ln2(p) - ln_pi(p), p),
+    "addison": ("gamma_addison", _digit("gamma_addison"),
+                "stieltjes(0)", _stieltjes0, 100_000),
+    "vacca_dual": ("log4pi_paired", _digit("log4pi_paired"),
+                   "ln(4/pi)", _closed("constant", lambda p: 2 * ln2(p) - ln_pi(p)),
                    100_000),
-    "dual_addison": ("log2pi_dual", lambda N, p: log2pi_dual(N, exact_limit=1, precision=p),
-                     "ln(2/pi)", lambda p: _const_route("constant", ln2(p) - ln_pi(p), p),
+    "dual_addison": ("log2pi_dual", _digit("log2pi_dual"),
+                     "ln(2/pi)", _closed("constant", lambda p: ln2(p) - ln_pi(p)),
                      100_000),
-    "pochtipochti": ("pochtipochti_series",
-                     lambda N, p: pochtipochti_series(N, exact_limit=1, precision=p),
+    "pochtipochti": ("pochtipochti_series", _digit("pochtipochti_series"),
                      "gamma - ln pi - 2 ln 2 + 9/4",
-                     lambda p: _const_route(
-                         "constant",
-                         euler_gamma(p) - ln_pi(p) - 2 * ln2(p)
-                         + ExtendedReal.of(mpf(9) / 4, p), p),
+                     _closed("constant", lambda p: euler_gamma(p) - ln_pi(p) - 2 * ln2(p)
+                             + ExtendedReal.of(mpf(9) / 4, p)),
                      100_000),
+}
+
+# constant -> its (label, route) pairs, as `zetasum constants` prints them
+CONSTANTS = {
+    "gamma": (("gamma_addison", _digit("gamma_addison")),
+              ("stieltjes[0]", _stieltjes0)),
+    "ln(4/pi)": (("log4pi_paired", _digit("log4pi_paired")),
+                 ("log4pi_alternating",
+                  lambda N, p: _digit("log4pi_alternating")(2 * N + 1, p))),
+    "ln 2": (("3/4 - log2_series",
+              _less(lambda p: ExtendedReal.of(mpf(3) / 4, p), _digit("log2_series"))),
+             ("reference", _closed("reference", lambda p: ln2(p)))),
+    "ln pi": (("2 ln 2 - log4pi_paired",
+               _less(lambda p: 2 * ln2(p), _digit("log4pi_paired"))),
+              ("reference", _closed("reference", lambda p: ln_pi(p)))),
+    "gamma - ln(4 pi) + 2": (("main_series", _digit("main_series")), _P01),
 }
 
 IDENTITY_IDS = tuple(sorted(_IDENTITIES)) + ("p0_zeros",)
@@ -414,13 +445,15 @@ def verify_identity(
                 raise DomainError("p0_zeros needs a nonempty zero table")
             a = ("zero_sum_p0", zero_sum_p0(zeros, with_tail_correction, p))
             label_b, route_b = _TARGET
+            N = None
         elif identity_id in _IDENTITIES:
             label_a, route_a, label_b, route_b, default = _IDENTITIES[identity_id]
-            a = (label_a, route_a(terms if terms is not None else default, p))
+            N = terms if terms is not None else default
+            a = (label_a, route_a(N, p))
         else:
             raise DomainError(f"unknown identity {identity_id!r}; "
                               f"known: {', '.join(IDENTITY_IDS)}")
-        b = (label_b, route_b(p))
+        b = (label_b, route_b(N, p))
         va = a[1].value(p)
         vb = b[1].value(p)
         discrepancy = abs(va - vb)

@@ -3,6 +3,7 @@ import io
 import json
 
 import pytest
+from mpmath import mp, mpf, workdps
 
 from zetasum.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, build_parser, main
 from tests.conftest import ZEROS_FILE
@@ -163,6 +164,19 @@ def test_constants_json_two_routes_each(capsys):
     assert s0["value"].startswith("0.577215664901532860606512090082402431042159335939")
 
 
+def test_constants_p01_runs_at_n(capsys):
+    # p01 is a closed form: it takes --terms as given, with no cap
+    code, out, _ = run(capsys, "constants", "--terms", "5000", "--format", "json")
+    assert code == EXIT_PASS
+    target = next(c for c in json.loads(out)["constants"]
+                  if c["name"] == "gamma - ln(4 pi) + 2")
+    p01 = next(r for r in target["routes"] if r["label"] == "p01_integral")
+    assert p01["terms"] == 5000
+    with workdps(60):
+        value, bound = mpf(p01["value"]), mpf(p01["tail_bound"])
+        assert value <= mp.euler - mp.log(4 * mp.pi) + 2 <= value + bound
+
+
 def test_zeros_find_check_export(capsys, tmp_path):
     out_file = tmp_path / "z.txt"
     code, _, _ = run(capsys, "zeros", "find", "--height", "50",
@@ -238,6 +252,19 @@ def test_gn_unsupported_n(capsys):
     code, _, err = run(capsys, "gn", "4", "--zeros", "10",
                        "--zeros-file", ZEROS_FILE)
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("n,k,positive", [
+    (3, 100, False),  # 8.6e-22 +- 2.2e-14
+    (2, 200, False),  # 3.3e-9 +- 5.2e-9
+    (2, 1000, True),  # 3.7e-9 +- 1.7e-9
+])
+def test_gn_positive_is_certified(capsys, n, k, positive):
+    # positive only when the whole enclosure lies above zero
+    code, out, _ = run(capsys, "gn", str(n), "--zeros", str(k),
+                       "--zeros-file", ZEROS_FILE, "--format", "json")
+    assert code == EXIT_PASS
+    assert json.loads(out)["positive"] is positive
 
 
 @pytest.mark.parametrize("argv", [

@@ -441,3 +441,21 @@ def test_verify_identity_looks_routes_up_by_name(identity, route, monkeypatch, z
     monkeypatch.setattr(criteria, route, spy)
     verify_identity(identity, terms=200, zeros=zeros_table, precision=30)
     assert len(calls) == 1
+
+
+def test_constants_looks_routes_up_by_name(monkeypatch):
+    # as for verify_identity: every route of the constants table must call
+    # the function the module namespace holds when it runs
+    calls = []
+    routes = ("gamma_addison", "stieltjes", "log4pi_paired", "log4pi_alternating",
+              "log2_series", "main_series", "p01_integral")
+    for route in routes:
+        real = getattr(criteria, route)
+
+        def spy(*args, route=route, real=real, **kwargs):
+            calls.append(route)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(criteria, route, spy)
+    assert main(["constants", "--terms", "200"]) == EXIT_PASS
+    assert set(calls) == set(routes)

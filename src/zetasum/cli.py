@@ -4,9 +4,10 @@ manage zero tables, emit machine-readable reports.  The routes of
 what they return.
 
 argparse is the only place inputs are parsed, checked and dispatched: each
-subcommand's parser names its handler, and the handlers read the parsed
-namespace.  Every common flag can also be set through an environment
-variable with the ZETASUM_ prefix (e.g. ZETASUM_PRECISION=30).  The
+subcommand's parser (zeros has three: find, check and export) names its
+handler and holds only the flags that handler reads.  Those flags can also
+be set through environment variables with the ZETASUM_ prefix (e.g.
+ZETASUM_PRECISION=30), each applying only where its flag exists.  The
 variable's string is the flag's default, and argparse converts it with the
 flag's own checked type, so a bad value is a usage error like a bad flag.
 An explicit flag wins, and the variable is then not checked.
@@ -22,7 +23,7 @@ import json
 import os
 import sys
 
-from .numerics import DEFAULT_PRECISION, MIN_PRECISION, DomainError
+from .numerics import DEFAULT_PRECISION, MIN_PRECISION
 from .digit_series import SeriesResult
 from .zeta_zeros import (
     MissedZeroError,
@@ -66,23 +67,26 @@ _format = _checked(str, FORMATS.__contains__, "must be one of " + ", ".join(FORM
 _switch = _checked({"1": True, "0": False}.get, lambda on: on is not None, "must be 1 or 0")
 
 
-def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--precision", type=_precision,
-                   default=_env("PRECISION", DEFAULT_PRECISION),
-                   help=f"working precision in decimal digits (>= {MIN_PRECISION})")
-    p.add_argument("--terms", type=_positive, default=_env("TERMS"),
-                   help="series term count override")
-    p.add_argument("--zeros-file", default=_env("ZEROS_FILE"),
-                   help="path to a zero-ordinate table")
-    p.add_argument("--height", type=_height, default=_env("HEIGHT"),
-                   help="compute zeros up to this ordinate instead of loading")
-    p.add_argument("--format", type=_format, default=_env("FORMAT", "text"),
-                   metavar="{" + ",".join(FORMATS) + "}")
-    # store_true takes no type argument, but argparse converts a string
-    # default with the action's type all the same
-    p.add_argument("--no-tail-correction", action="store_true",
-                   default=_env("NO_TAIL_CORRECTION", False),
-                   help="skip density-based completion of zero sums").type = _switch
+def _add_flags(p: argparse.ArgumentParser, *names: str, required: tuple = ()):
+    """Add the named flags, each defaulting to its ZETASUM_ variable as it
+    is now.  A flag in required must be given unless its variable is set."""
+    table = {
+        "precision": (_precision, _env("PRECISION", DEFAULT_PRECISION),
+                      dict(help=f"working precision in decimal digits (>= {MIN_PRECISION})")),
+        "terms": (_positive, _env("TERMS"), dict(help="series term count override")),
+        "zeros-file": (None, _env("ZEROS_FILE"), dict(help="path to a zero-ordinate table")),
+        "height": (_height, _env("HEIGHT"),
+                   dict(help="compute zeros up to this ordinate instead of loading")),
+        "format": (_format, _env("FORMAT", "text"), dict(metavar="{" + ",".join(FORMATS) + "}")),
+        "no-tail-correction": (_switch, _env("NO_TAIL_CORRECTION", False), dict(
+            action="store_true", help="skip density-based completion of zero sums")),
+    }
+    for name in names:
+        kind, default, extra = table[name]
+        # store_true takes no type argument, but argparse converts a string
+        # default with the action's type all the same
+        p.add_argument("--" + name, default=default, **extra,
+                       required=name in required and default is None).type = kind
 
 
 def _get_zeros(args) -> ZeroTable:
@@ -103,6 +107,13 @@ def _route_dict(label: str, result: SeriesResult, digits: int) -> dict:
         "terms": result.terms_used,
         "tail_bound": result.tail_bound.to_decimal_string(8),
     }
+
+
+def _sign_dict(result: SeriesResult, digits: int) -> dict:
+    """The value, whether the whole enclosure lies above zero, and the bound."""
+    return {"value": result.value().to_decimal_string(digits),
+            "positive": result.enclosure().lower.value > 0,
+            "tail_bound": result.tail_bound.to_decimal_string(8)}
 
 
 def _emit(args, rows: list, doc: dict, lines: list):
@@ -162,32 +173,29 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def cmd_zeros(args) -> int:
-    if args.subcommand == "find":
-        if args.height is None:
-            raise DomainError("zeros find requires --height")
-        table = find_zeros(args.height, precision=args.precision)
-        if args.output:
-            write_zero_table(table, args.output)
-            print(f"{len(table)} zeros up to t={args.height} -> {args.output}")
-        else:
-            for g in table.ordinates:
-                print(g.to_decimal_string(15))
-        return EXIT_PASS
-    if args.subcommand == "check":
-        if not args.path:
-            raise DomainError("zeros check requires a file argument")
-        try:
-            table = load_zero_table(args.path, precision=args.precision)
-        except ZeroTableError as exc:
-            print(f"check failed: {exc}", file=sys.stderr)
-            return EXIT_FAIL
-        print(f"ok: {len(table)} ordinates, max {float(table.max_ordinate()):.6f}")
-        return EXIT_PASS
-    src = args.path or args.zeros_file  # export
-    if not src or not args.output:
-        raise DomainError("zeros export requires a source table and --output")
-    table = load_zero_table(src, precision=args.precision)
+def cmd_zeros_find(args) -> int:
+    table = find_zeros(args.height, precision=args.precision)
+    if args.output:
+        write_zero_table(table, args.output)
+        print(f"{len(table)} zeros up to t={args.height} -> {args.output}")
+    else:
+        for g in table.ordinates:
+            print(g.to_decimal_string(15))
+    return EXIT_PASS
+
+
+def cmd_zeros_check(args) -> int:
+    try:
+        table = load_zero_table(args.path, precision=args.precision)
+    except ZeroTableError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    print(f"ok: {len(table)} ordinates, max {float(table.max_ordinate()):.6f}")
+    return EXIT_PASS
+
+
+def cmd_zeros_export(args) -> int:
+    table = load_zero_table(args.path, precision=args.precision)
     write_zero_table(table, args.output, limit=args.limit)
     n = args.limit if args.limit is not None else len(table)
     print(f"wrote {min(n, len(table))} ordinates -> {args.output}")
@@ -199,10 +207,7 @@ def cmd_li(args) -> int:
     rows, lines = [], []
     for n in range(1, args.n_max + 1):
         r = criteria.li_lambda(n, zeros, not args.no_tail_correction, args.precision)
-        row = {"n": n,
-               "value": r.value().to_decimal_string(args.precision),
-               "positive": r.value().value > 0,
-               "tail_bound": r.tail_bound.to_decimal_string(8)}
+        row = {"n": n, **_sign_dict(r, args.precision)}
         rows.append(row)
         lines.append(f"lambda_{n} = {row['value']}  [{'+' if row['positive'] else '-'}]  "
                      f"(zeros={r.terms_used}, tail_bound={row['tail_bound']})")
@@ -214,10 +219,7 @@ def cmd_gn(args) -> int:
     zeros = _get_zeros(args)
     K = len(zeros) if args.k is None else args.k
     r = criteria.gn_multisum(args.n, zeros, K, args.precision)
-    row = {"n": args.n, "zeros_used": K,
-           "value": r.value().to_decimal_string(args.precision),
-           "positive": r.enclosure().lower.value > 0,
-           "tail_bound": r.tail_bound.to_decimal_string(8)}
+    row = {"n": args.n, "zeros_used": K, **_sign_dict(r, args.precision)}
     _emit(args, [row], row,
           [f"G_{args.n} multisum over {K} zeros = {row['value']}  positive={row['positive']}"])
     return EXIT_PASS
@@ -235,31 +237,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="print the core constants, two routes each")
     p.set_defaults(run=cmd_constants)
-    _add_common_flags(p)
+    _add_flags(p, "precision", "terms", "format")
 
     p = sub.add_parser("verify", help="compare two routes of a named identity")
     p.add_argument("identity", help="one of: " + ", ".join(criteria.IDENTITY_IDS))
     p.set_defaults(run=cmd_verify)
-    _add_common_flags(p)
+    _add_flags(p, "precision", "terms", "zeros-file", "height", "format", "no-tail-correction")
 
-    p = sub.add_parser("zeros", help="find, check, or export zero tables")
-    p.add_argument("subcommand", choices=("find", "check", "export"))
-    p.add_argument("path", nargs="?", help="input table (check/export)")
-    p.add_argument("--output", help="output file")
+    zsub = sub.add_parser("zeros", help="find, check, or export zero tables") \
+        .add_subparsers(dest="subcommand", required=True)
+    p = zsub.add_parser("find", help="compute the zeros up to --height")
+    p.add_argument("--output", help="output file (default: print the ordinates)")
+    p.set_defaults(run=cmd_zeros_find)
+    _add_flags(p, "precision", "height", required=("height",))
+    p = zsub.add_parser("check", help="validate a zero table")
+    p.add_argument("path", help="input table")
+    p.set_defaults(run=cmd_zeros_check)
+    _add_flags(p, "precision")
+    p = zsub.add_parser("export", help="copy a zero table, optionally truncated")
+    p.add_argument("path", help="input table")
+    p.add_argument("--output", required=True, help="output file")
     p.add_argument("--limit", type=int, help="truncate export to this many zeros")
-    p.set_defaults(run=cmd_zeros)
-    _add_common_flags(p)
+    p.set_defaults(run=cmd_zeros_export)
+    _add_flags(p, "precision")
 
     p = sub.add_parser("li", help="Keiper-Li coefficients lambda_1..lambda_n")
     p.add_argument("n_max", type=_positive)
     p.set_defaults(run=cmd_li)
-    _add_common_flags(p)
+    _add_flags(p, "precision", "zeros-file", "height", "format", "no-tail-correction")
 
     p = sub.add_parser("gn", help="G_n multisum over the first K zeros")
     p.add_argument("n", type=int)
     p.add_argument("--zeros", dest="k", type=int, help="number of zeros K")
     p.set_defaults(run=cmd_gn)
-    _add_common_flags(p)
+    _add_flags(p, "precision", "zeros-file", "height", "format")
 
     return parser
 
@@ -272,7 +283,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.run(args)
-    except (DomainError, ZeroTableError, FileNotFoundError, ValueError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # DomainError, ZeroTableError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (MissedZeroError, ArithmeticError) as exc:

@@ -313,3 +313,81 @@ def test_formats_agree(capsys, argv, flatten):
         [{k: str(v) for k, v in row.items()} for row in expected]
     for row in expected:
         assert row["value"] in outs["text"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("constants", "--zeros-file", ZEROS_FILE),
+    ("constants", "--height", "20"),
+    ("constants", "--no-tail-correction"),
+    ("zeros", "find", "--height", "20", "--terms", "9"),
+    ("zeros", "find", "--height", "20", "--format", "json"),
+    ("zeros", "find", "--height", "20", "--no-tail-correction"),
+    ("zeros", "check", ZEROS_FILE, "--terms", "9"),
+    ("zeros", "check", ZEROS_FILE, "--format", "json"),
+    ("zeros", "check", ZEROS_FILE, "--no-tail-correction"),
+    ("zeros", "check", ZEROS_FILE, "--height", "20"),
+    ("zeros", "check", ZEROS_FILE, "--zeros-file", ZEROS_FILE),
+    ("li", "2", "--terms", "9"),
+    ("gn", "1", "--terms", "9"),
+    ("gn", "1", "--no-tail-correction"),
+])
+def test_unread_flag_usage_error(capsys, argv):
+    # each subcommand takes only the flags its handler reads
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "unrecognized arguments: --" in err
+
+
+CHECK = ("zeros", "check", ZEROS_FILE)
+CONSTANTS = ("constants", "--terms", "200")
+
+
+@pytest.mark.parametrize("argv,name,value", [
+    (CHECK, "TERMS", "0"), (CHECK, "NO_TAIL_CORRECTION", "true"), (CHECK, "FORMAT", "xml"),
+    (CHECK, "HEIGHT", "-1"), (CHECK, "ZEROS_FILE", "/nonexistent/zeros.txt"),
+    (CONSTANTS, "NO_TAIL_CORRECTION", "true"), (CONSTANTS, "HEIGHT", "-1"),
+    (CONSTANTS, "ZEROS_FILE", "/nonexistent/zeros.txt"),
+])
+def test_env_value_of_unread_flag_ignored(capsys, monkeypatch, argv, name, value):
+    # a ZETASUM_ variable applies only where its flag exists
+    monkeypatch.setenv("ZETASUM_" + name, value)
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_PASS
+    assert out.startswith("ok: 10000 ordinates" if argv == CHECK else "gamma\n")
+
+
+def test_zeros_find_height_from_env(capsys, monkeypatch):
+    monkeypatch.setenv("ZETASUM_HEIGHT", "20")
+    code, out, _ = run(capsys, "zeros", "find")
+    assert code == EXIT_PASS
+    assert out.splitlines() == ["14.1347251418597"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeros", "check", "--output", "OUT"),
+    ("zeros", "export", ZEROS_FILE),
+    ("zeros", "export", "--output", "OUT"),
+    ("zeros", "export", "--output", "OUT", "--limit", "5"),
+    ("zeros", "export", "--zeros-file", ZEROS_FILE, "--output", "OUT"),
+    ("zeros", "--output", "OUT"),
+])
+def test_zeros_missing_input_usage_error(capsys, tmp_path, argv):
+    # argparse requires each input: exit 2, nothing printed, no file written
+    out_file = tmp_path / "out.txt"
+    code, out, err = run(capsys, *(str(out_file) if a == "OUT" else a for a in argv))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error: " in err
+    assert not out_file.exists()
+
+
+def test_li_positive_is_certified(capsys):
+    # one zero leaves every lambda_n's enclosure reaching below zero
+    code, out, _ = run(capsys, "li", "10", "--height", "20", "--format", "json")
+    assert code == EXIT_PASS
+    rows = json.loads(out)["lambda"]
+    assert len(rows) == 10
+    assert not any(row["positive"] for row in rows)
+    _, text, _ = run(capsys, "li", "10", "--height", "20")
+    assert text.count("[-]") == 10 and "[+]" not in text

@@ -8,15 +8,12 @@ from .numerics import (
     ExactRational,
     ExtendedReal,
     Interval,
-    QuadratureError,
     digamma,
     euler_gamma,
     ln2,
     ln_gamma,
     ln_pi,
-    pi_value,
     polygamma,
-    quadrature,
     target_constant,
 )
 from .digit_series import (
@@ -37,7 +34,6 @@ from .digit_series import (
 from .special_series import (
     StieltjesRequest,
     p01_integral,
-    p01_integrand,
     p01_term,
     p12_closed_form,
     p12_series,
@@ -56,8 +52,6 @@ from .zeta_zeros import (
 )
 from .criteria import (
     IdentityReport,
-    TailCorrection,
-    g_value,
     gn_multisum,
     li_lambda,
     verify_identity,

@@ -1,11 +1,12 @@
 """Command-line surface: compute constants, run identity verifications,
 manage zero tables, emit machine-readable reports.  The routes of
-`constants` and `verify` live in criteria's tables; this module formats
-what they return.
+`constants` and `verify` live in criteria (`criteria.constants` and the
+verifier's table); this module formats what they return.
 
 argparse is the only place inputs are parsed, checked and dispatched: each
 subcommand's parser (zeros has three: find, check and export) names its
-handler and holds only the flags that handler reads.  Those flags can also
+handler and holds only the flags that handler reads; --zeros-file and
+--height, the two sources of zeros, exclude each other.  The flags can also
 be set through environment variables with the ZETASUM_ prefix (e.g.
 ZETASUM_PRECISION=30), each applying only where its flag exists.  The
 variable's string is the flag's default, and argparse converts it with the
@@ -67,9 +68,10 @@ _format = _checked(str, FORMATS.__contains__, "must be one of " + ", ".join(FORM
 _switch = _checked({"1": True, "0": False}.get, lambda on: on is not None, "must be 1 or 0")
 
 
-def _add_flags(p: argparse.ArgumentParser, *names: str, required: tuple = ()):
-    """Add the named flags, each defaulting to its ZETASUM_ variable as it
-    is now.  A flag in required must be given unless its variable is set."""
+def _add_flags(p, *names: str, required: tuple = ()):
+    """Add the named flags to the parser or argument group p, each
+    defaulting to its ZETASUM_ variable as it is now.  A flag in required
+    must be given unless its variable is set."""
     table = {
         "precision": (_precision, _env("PRECISION", DEFAULT_PRECISION),
                       dict(help=f"working precision in decimal digits (>= {MIN_PRECISION})")),
@@ -135,8 +137,8 @@ def _emit(args, rows: list, doc: dict, lines: list):
 def cmd_constants(args) -> int:
     p = args.precision
     N = args.terms or 100_000
-    grouped = {name: [_route_dict(label, route(N, p), p) for label, route in routes]
-               for name, routes in criteria.CONSTANTS.items()}
+    grouped = {name: [_route_dict(label, r, p) for label, r in rows]
+               for name, rows in criteria.constants(N, p).items()}
     rows = [{"constant": name, **route} for name, group in grouped.items() for route in group]
     lines = []
     for name, group in grouped.items():
@@ -242,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="compare two routes of a named identity")
     p.add_argument("identity", help="one of: " + ", ".join(criteria.IDENTITY_IDS))
     p.set_defaults(run=cmd_verify)
-    _add_flags(p, "precision", "terms", "zeros-file", "height", "format", "no-tail-correction")
+    _add_flags(p, "precision", "terms", "format", "no-tail-correction")
+    _add_flags(p.add_mutually_exclusive_group(), "zeros-file", "height")
 
     zsub = sub.add_parser("zeros", help="find, check, or export zero tables") \
         .add_subparsers(dest="subcommand", required=True)
@@ -264,13 +267,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("li", help="Keiper-Li coefficients lambda_1..lambda_n")
     p.add_argument("n_max", type=_positive)
     p.set_defaults(run=cmd_li)
-    _add_flags(p, "precision", "zeros-file", "height", "format", "no-tail-correction")
+    _add_flags(p, "precision", "format", "no-tail-correction")
+    _add_flags(p.add_mutually_exclusive_group(), "zeros-file", "height")
 
     p = sub.add_parser("gn", help="G_n multisum over the first K zeros")
     p.add_argument("n", type=int)
     p.add_argument("--zeros", dest="k", type=int, help="number of zeros K")
     p.set_defaults(run=cmd_gn)
-    _add_flags(p, "precision", "zeros-file", "height", "format")
+    _add_flags(p, "precision", "format")
+    _add_flags(p.add_mutually_exclusive_group(), "zeros-file", "height")
 
     return parser
 

@@ -1,5 +1,5 @@
 """Zero-sum quantities, the cross-representation identity verifier, and
-the route tables that both `zetasum verify` and `zetasum constants` read.
+the routes that `zetasum verify` and `zetasum constants` read.
 
 Zero sums fold conjugate pairs onto positive ordinates: with rho = 1/2 +
 i*gamma on the critical line, rho(1-rho) = 1/4 + gamma^2 is real, so every
@@ -16,13 +16,14 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Optional
 
-from mpmath import mp, mpf, mpc, workdps
+from mpmath import mp, mpf, workdps
 
 from .numerics import (
     DEFAULT_PRECISION,
     DomainError,
     ExtendedReal,
     _GUARD,
+    _rounding_slack,
     euler_gamma,
     ln2,
     ln_pi,
@@ -53,21 +54,6 @@ MAX_LI_INDEX = 1000
 
 # the c of li_lambda's fixed-point width c n^2 K, in units of 2^-B
 _LI_ROUNDING = 32
-
-
-@dataclass(frozen=True)
-class TailCorrection:
-    """Density-based completion of a zero sum truncated at height T."""
-
-    T: ExtendedReal
-    correction: ExtendedReal
-    bound_on_remainder: ExtendedReal
-
-    def __post_init__(self):
-        if self.correction.value < 0:
-            raise DomainError("tail correction must be nonnegative")
-        if self.bound_on_remainder.value < 0:
-            raise DomainError("remainder bound must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -150,26 +136,13 @@ def zero_sum_p0(
             bound = fluct
         else:
             bound = 2 * _density_tail(T) + fluct
-        bound += moved + mpf(10) ** (-(precision - 2))
+        bound += moved + _rounding_slack(precision)
         return SeriesResult(
             ExtendedReal(acc, precision),
             len(zeros),
             ExtendedReal(bound, precision),
             "zero_sum_p0",
             positive_terms=not with_tail_correction,
-        )
-
-
-def tail_correction_p0(zeros: ZeroTable, precision: int = DEFAULT_PRECISION) -> TailCorrection:
-    """The density completion applied by zero_sum_p0, as a record."""
-    if len(zeros) == 0:
-        raise DomainError("empty zero table")
-    with workdps(precision + _GUARD):
-        T = zeros.max_ordinate()
-        return TailCorrection(
-            ExtendedReal(T, precision),
-            ExtendedReal(2 * _density_tail(T), precision),
-            ExtendedReal(_fluctuation_bound(T), precision),
         )
 
 
@@ -269,27 +242,13 @@ def li_lambda(
             bound = n2 * fluct + mpf(n2 * (n2 - 1)) / 12 * (D + fluct) / (mpf(1) / 4 + T * T)
         else:
             bound = n2 * (D + fluct)
-        bound += moved + rounding + mpf(10) ** (-(precision - 2))
+        bound += moved + rounding + _rounding_slack(precision)
         return SeriesResult(
             ExtendedReal(value, precision),
             len(zeros),
             ExtendedReal(bound, precision),
             f"li_lambda[{n}]",
         )
-
-
-def g_value(z, precision: int = DEFAULT_PRECISION):
-    """1/(z(1-z)); real for z on the critical line.  Returns ExtendedReal
-    when the result is real (to working accuracy), else an mpc."""
-    with workdps(precision + _GUARD):
-        zv = mpc(z.value, 0) if isinstance(z, ExtendedReal) else mpc(z)
-        denom = zv * (1 - zv)
-        if denom == 0:
-            raise DomainError("g_value has poles at z = 0 and z = 1")
-        w = 1 / denom
-        if abs(w.imag) <= mpf(10) ** (-(precision - 2)) * max(abs(w.real), mpf(1)):
-            return ExtendedReal(w.real, precision)
-        return w
 
 
 def _x_values(zeros: ZeroTable, K: int):
@@ -334,7 +293,7 @@ def gn_multisum(
             bound = 4 * x_max ** 2 * (p1 + tail1) * tail1
         else:
             bound = 18 * x_max ** 4 * (p1 + tail1) ** 2 * tail1
-        bound += mpf(10) ** (-(precision - 2)) * max(1, abs(total))
+        bound += _rounding_slack(precision) * max(1, abs(total))
         return SeriesResult(
             ExtendedReal(total, precision),
             K,
@@ -345,7 +304,7 @@ def gn_multisum(
 
 
 # ---------------------------------------------------------------------------
-# Route tables: the identity verifier's and the constants command's
+# Routes: the identity verifier's table and the constants command's rows
 #
 # Every route is route(N, p) -> SeriesResult; a closed form ignores N.  A
 # route looks up each function it calls by name when it runs, so that a
@@ -359,18 +318,14 @@ def _digit(name: str):
 
 
 def _closed(label: str, value):
-    """The closed form value(p), with the rounding slack 10^-(p-2) as its
-    bound."""
+    """The closed form value(p), with the rounding slack as its bound."""
     return lambda N, p: SeriesResult(
-        value(p), 0, ExtendedReal.of(mpf(10) ** (-(p - 2)), p), label)
+        value(p), 0, ExtendedReal.of(_rounding_slack(p), p), label)
 
 
-def _less(shift, route):
-    """shift(p) minus the route's value, with the route's terms and bound."""
-    def less(N, p):
-        r = route(N, p)
-        return SeriesResult(shift(p) - r.value(p), r.terms_used, r.tail_bound, r.series_id)
-    return less
+def _less(shift: ExtendedReal, r: SeriesResult, p: int) -> SeriesResult:
+    """shift minus r's value at p digits, with r's terms and bound."""
+    return SeriesResult(shift - r.value(p), r.terms_used, r.tail_bound, r.series_id)
 
 
 def _stieltjes0(N, p):
@@ -405,22 +360,6 @@ _IDENTITIES = {
                      _closed("constant", lambda p: euler_gamma(p) - ln_pi(p) - 2 * ln2(p)
                              + ExtendedReal.of(mpf(9) / 4, p)),
                      100_000),
-}
-
-# constant -> its (label, route) pairs, as `zetasum constants` prints them
-CONSTANTS = {
-    "gamma": (("gamma_addison", _digit("gamma_addison")),
-              ("stieltjes[0]", _stieltjes0)),
-    "ln(4/pi)": (("log4pi_paired", _digit("log4pi_paired")),
-                 ("log4pi_alternating",
-                  lambda N, p: _digit("log4pi_alternating")(2 * N + 1, p))),
-    "ln 2": (("3/4 - log2_series",
-              _less(lambda p: ExtendedReal.of(mpf(3) / 4, p), _digit("log2_series"))),
-             ("reference", _closed("reference", lambda p: ln2(p)))),
-    "ln pi": (("2 ln 2 - log4pi_paired",
-               _less(lambda p: 2 * ln2(p), _digit("log4pi_paired"))),
-              ("reference", _closed("reference", lambda p: ln_pi(p)))),
-    "gamma - ln(4 pi) + 2": (("main_series", _digit("main_series")), _P01),
 }
 
 IDENTITY_IDS = tuple(sorted(_IDENTITIES)) + ("p0_zeros",)
@@ -458,6 +397,27 @@ def verify_identity(
         vb = b[1].value(p)
         discrepancy = abs(va - vb)
         tolerance = a[1].tail_bound + b[1].tail_bound + \
-            ExtendedReal.of(mpf(10) ** (-(p - 2)), p)
+            ExtendedReal.of(_rounding_slack(p), p)
         verdict = "pass" if discrepancy.value <= tolerance.value else "fail"
         return IdentityReport(identity_id, a, b, discrepancy, tolerance, verdict)
+
+
+def constants(N: int, p: int) -> dict:
+    """What `zetasum constants` prints at N terms and p digits: each
+    constant -> its two (label, SeriesResult) rows, in print order.  Each
+    route runs once: the ln pi row reuses the ln(4/pi) row's log4pi_paired
+    sum."""
+    log4pi = _digit("log4pi_paired")(N, p)
+    return {
+        "gamma": (("gamma_addison", _digit("gamma_addison")(N, p)),
+                  ("stieltjes[0]", _stieltjes0(N, p))),
+        "ln(4/pi)": (("log4pi_paired", log4pi),
+                     ("log4pi_alternating", _digit("log4pi_alternating")(2 * N + 1, p))),
+        "ln 2": (("3/4 - log2_series",
+                  _less(ExtendedReal.of(mpf(3) / 4, p), _digit("log2_series")(N, p), p)),
+                 ("reference", _closed("reference", ln2)(N, p))),
+        "ln pi": (("2 ln 2 - log4pi_paired", _less(2 * ln2(p), log4pi, p)),
+                  ("reference", _closed("reference", ln_pi)(N, p))),
+        "gamma - ln(4 pi) + 2": (("main_series", _digit("main_series")(N, p)),
+                                 ("p01_integral", p01_integral(N, precision=p))),
+    }

@@ -1,9 +1,8 @@
 """Extended-precision arithmetic substrate.
 
 Provides the value types used everywhere else (ExtendedReal, ExactRational,
-Interval), precision-carrying wrappers around mpmath's log-gamma, digamma
-and polygamma, and integration over a finite interval by mpmath's quad,
-whose error estimate sets the width of the returned interval.
+Interval), the reference constants, and precision-carrying wrappers around
+mpmath's log-gamma, digamma and polygamma.
 
 Everything here is a pure function of its inputs; all types are immutable.
 """
@@ -12,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Union
 
 from mpmath import mp, mpf, workdps
-import mpmath
 
 # Exact integer ratios.  fractions.Fraction already guarantees the canonical
 # form we need (gcd-reduced, positive denominator, exact add/mul), so it is
@@ -29,15 +27,19 @@ MIN_PRECISION = 15
 # error contract holds with room to spare.
 _GUARD = 10
 
+
+def _rounding_slack(precision: int) -> mpf:
+    """10^-(precision-2): the slack a result at `precision` digits adds to
+    its bound for its own rounding, the 10^(2-P) contract above taken as an
+    absolute error (callers scale it where a value may exceed one).  It is
+    evaluated at the caller's working precision."""
+    return mpf(10) ** (-(precision - 2))
+
 Number = Union[int, float, Fraction, "ExtendedReal"]
 
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
-
-
-class QuadratureError(RuntimeError):
-    """Quadrature's error estimate exceeds the target error."""
 
 
 def _to_mpf(x) -> mpf:
@@ -77,9 +79,6 @@ class ExtendedReal:
             return x
         with workdps(precision + _GUARD):
             return ExtendedReal(_to_mpf(x), precision)
-
-    def with_precision(self, precision: int) -> "ExtendedReal":
-        return ExtendedReal(self.value, precision)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -124,22 +123,6 @@ class ExtendedReal:
 
     def __abs__(self):
         return ExtendedReal(abs(self.value), self.precision)
-
-    def ln(self) -> "ExtendedReal":
-        if self.value <= 0:
-            raise DomainError("ln of non-positive ExtendedReal")
-        with workdps(self.precision + _GUARD):
-            return ExtendedReal(mpmath.ln(self.value), self.precision)
-
-    def exp(self) -> "ExtendedReal":
-        with workdps(self.precision + _GUARD):
-            return ExtendedReal(mpmath.exp(self.value), self.precision)
-
-    def sqrt(self) -> "ExtendedReal":
-        if self.value < 0:
-            raise DomainError("sqrt of negative ExtendedReal")
-        with workdps(self.precision + _GUARD):
-            return ExtendedReal(mpmath.sqrt(self.value), self.precision)
 
     # -- comparisons (by value) -------------------------------------------
 
@@ -186,12 +169,6 @@ class Interval:
         if self.lower.value > self.upper.value:
             raise DomainError("interval lower bound exceeds upper bound")
 
-    def width(self) -> ExtendedReal:
-        return self.upper - self.lower
-
-    def midpoint(self) -> ExtendedReal:
-        return (self.lower + self.upper) / 2
-
     def contains(self, x: Number) -> bool:
         v = _to_mpf(x)
         return self.lower.value <= v <= self.upper.value
@@ -199,11 +176,6 @@ class Interval:
 
 # ---------------------------------------------------------------------------
 # Constants
-
-
-def pi_value(precision: int = DEFAULT_PRECISION) -> ExtendedReal:
-    with workdps(precision + _GUARD):
-        return ExtendedReal(+mp.pi, precision)
 
 
 def ln2(precision: int = DEFAULT_PRECISION) -> ExtendedReal:
@@ -237,7 +209,7 @@ def _gamma_family(name: str, fn, x: Number, precision: int | None) -> ExtendedRe
     """fn(x) for x > 0, at `precision` if given, else at x's own precision."""
     x = ExtendedReal.of(x, precision or DEFAULT_PRECISION)
     if precision is not None:
-        x = x.with_precision(precision)
+        x = ExtendedReal(x.value, precision)
     if x.value <= 0:
         raise DomainError(f"{name} requires x > 0")
     with workdps(x.precision + _GUARD):
@@ -261,41 +233,3 @@ def polygamma(order: int, x: Number, precision: int | None = None) -> ExtendedRe
         raise DomainError("polygamma supports orders 1..6 only")
     return _gamma_family("polygamma", lambda v: mp.polygamma(order, v), x, precision)
 
-
-# ---------------------------------------------------------------------------
-# Quadrature
-
-
-def quadrature(
-    f: Callable[[ExtendedReal], Number],
-    a: Number,
-    b: Number,
-    target_error: Number,
-    precision: int = DEFAULT_PRECISION,
-) -> Interval:
-    """Integrate a smooth f over the finite interval [a, b] with mpmath's
-    quad (tanh-sinh), at precision plus guard digits.
-
-    Returns an interval around quad's value whose half-width is quad's
-    error estimate, or 10^-(precision-2) if that is larger.  The width is an
-    estimate, not a proof.  Raises QuadratureError if the estimate exceeds
-    target_error.
-    """
-    a_x = ExtendedReal.of(a, precision)
-    b_x = ExtendedReal.of(b, precision)
-    if not a_x.value < b_x.value:
-        raise DomainError("quadrature requires a < b")
-    tgt = _to_mpf(target_error)
-    if tgt <= 0:
-        raise DomainError("target_error must be positive")
-    with workdps(precision + _GUARD):
-        total, err = mp.quad(lambda q: _to_mpf(f(ExtendedReal(q, precision))),
-                             [a_x.value, b_x.value], error=True)
-        if err > tgt:
-            raise QuadratureError(
-                f"quadrature error estimate {mp.nstr(err, 3)} exceeds target {mp.nstr(tgt, 3)}")
-        err = max(err, mpf(10) ** (-(precision - 2)))
-        return Interval(
-            ExtendedReal(total - err, precision),
-            ExtendedReal(total + err, precision),
-        )

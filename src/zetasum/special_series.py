@@ -13,8 +13,9 @@ changes of f^(p).
 
 The fractional-part integral is summed in closed form: partial fractions
 on each unit interval, then summation by parts over the intervals, so N
-intervals cost one log-gamma and N integer divisions; generic quadrature
-is kept as an independent cross-check.
+intervals cost one log-gamma and N integer divisions.  The tests keep
+generic quadrature (mpmath's quad) of the integrand as an independent
+cross-check.
 
 The digamma midpoint series sums t(n) = psi(n) - integral of psi over
 [n - 1/2, n + 1/2].  Since Gamma(n + 1/2) = (n - 1/2) Gamma(n - 1/2), the
@@ -36,6 +37,7 @@ from .numerics import (
     DomainError,
     ExtendedReal,
     _GUARD,
+    _rounding_slack,
 )
 from .digit_series import _FIXED_GUARD_BITS, SeriesResult
 
@@ -176,7 +178,7 @@ def stieltjes(req: StieltjesRequest, precision: int = DEFAULT_PRECISION) -> Seri
         for k in range(1, order // 2 + 1):
             d = _eval_log_poly(coeffs[2 * k - 1], ln_pows, mpf(N), 2 * k - 1)
             acc -= mp.bernoulli(2 * k) / mp.factorial(2 * k) * d
-        bound = rem + rounding + mpf(10) ** (-(precision - 2)) * (1 + abs(acc))
+        bound = rem + rounding + _rounding_slack(precision) * (1 + abs(acc))
         return SeriesResult(
             ExtendedReal(acc, precision),
             N,
@@ -215,15 +217,6 @@ def p01_term(n: int, precision: int = DEFAULT_PRECISION) -> ExtendedReal:
     # the closed form cancels ~5*log10(n) digits (term ~ n^-4, pieces ~ n)
     with workdps(precision + _GUARD + 5 * len(str(n))):
         return ExtendedReal(_p01_term_raw(n), precision)
-
-
-def p01_integrand(q: ExtendedReal) -> ExtendedReal:
-    """(1 - {q}^2) / (2 q^2 (q+1)^2), the positive integrand behind
-    p01_term; exposed for quadrature cross-checks."""
-    with workdps(q.precision + _GUARD):
-        v = q.value
-        u = v - mp.floor(v)
-        return ExtendedReal((1 - u * u) / (2 * v * v * (v + 1) ** 2), q.precision)
 
 
 def p01_integral(N: int, precision: int = DEFAULT_PRECISION) -> SeriesResult:
@@ -345,7 +338,7 @@ def p12_series(
             bound = mpf(1) / N ** 4
         else:
             bound = mpf(1) / (24 * N)
-        bound += mpf(10) ** (-(precision - 2))
+        bound += _rounding_slack(precision)
         return SeriesResult(
             ExtendedReal(acc, precision),
             N,

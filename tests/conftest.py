@@ -1,9 +1,19 @@
 import os
 from fractions import Fraction
+from typing import Callable
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpf, workdps
 
+from zetasum.numerics import (
+    DEFAULT_PRECISION,
+    DomainError,
+    ExtendedReal,
+    Interval,
+    Number,
+    _GUARD,
+    _to_mpf,
+)
 from zetasum.zeta_zeros import ZeroTable, find_zeros, load_zero_table
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -18,6 +28,54 @@ def exact_value(x: mpf) -> Fraction:
     """The mpf x as the exact rational it is."""
     man, exp = x.man_exp  # man is the absolute mantissa
     return int(mp.sign(x)) * Fraction(man) * Fraction(2) ** exp
+
+
+class QuadratureError(RuntimeError):
+    """Quadrature's error estimate exceeds the target error."""
+
+
+def quadrature(
+    f: Callable[[ExtendedReal], Number],
+    a: Number,
+    b: Number,
+    target_error: Number,
+    precision: int = DEFAULT_PRECISION,
+) -> Interval:
+    """Integrate a smooth f over the finite interval [a, b] with mpmath's
+    quad (tanh-sinh), at precision plus guard digits.
+
+    Returns an interval around quad's value whose half-width is quad's
+    error estimate, or 10^-(precision-2) if that is larger.  The width is an
+    estimate, not a proof.  Raises QuadratureError if the estimate exceeds
+    target_error.
+    """
+    a_x = ExtendedReal.of(a, precision)
+    b_x = ExtendedReal.of(b, precision)
+    if not a_x.value < b_x.value:
+        raise DomainError("quadrature requires a < b")
+    tgt = _to_mpf(target_error)
+    if tgt <= 0:
+        raise DomainError("target_error must be positive")
+    with workdps(precision + _GUARD):
+        total, err = mp.quad(lambda q: _to_mpf(f(ExtendedReal(q, precision))),
+                             [a_x.value, b_x.value], error=True)
+        if err > tgt:
+            raise QuadratureError(
+                f"quadrature error estimate {mp.nstr(err, 3)} exceeds target {mp.nstr(tgt, 3)}")
+        err = max(err, mpf(10) ** (-(precision - 2)))
+        return Interval(
+            ExtendedReal(total - err, precision),
+            ExtendedReal(total + err, precision),
+        )
+
+
+def p01_integrand(q: ExtendedReal) -> ExtendedReal:
+    """(1 - {q}^2) / (2 q^2 (q+1)^2), the positive integrand behind
+    p01_term; exposed for quadrature cross-checks."""
+    with workdps(q.precision + _GUARD):
+        v = q.value
+        u = v - mp.floor(v)
+        return ExtendedReal((1 - u * u) / (2 * v * v * (v + 1) ** 2), q.precision)
 
 
 def record_acceptance_line(line: str):

@@ -280,6 +280,29 @@ def test_nonpositive_height_or_zeros_usage_error(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [("verify", "p0_zeros"), ("li", "1"), ("gn", "1")])
+def test_zeros_file_and_height_exclusive(capsys, argv):
+    # the zeros come from one source: a table or a height, not both
+    code, out, err = run(capsys, *argv, "--zeros-file", ZEROS_FILE, "--height", "20")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--height: not allowed with argument --zeros-file" in err
+
+
+@pytest.mark.parametrize("argv,used", [
+    (("verify", "p0_zeros"), "(terms=10000,"),
+    (("li", "1"), "(zeros=10000,"),
+    (("gn", "1", "--zeros", "100"), "over 100 zeros"),
+], ids=["verify", "li", "gn"])
+def test_zeros_file_flag_wins_over_height_variable(capsys, monkeypatch, argv, used):
+    # the exclusion is between flags: ZETASUM_HEIGHT is only a default, so an
+    # explicit --zeros-file is no usage error and its table is what is read
+    monkeypatch.setenv("ZETASUM_HEIGHT", "20")
+    code, out, _ = run(capsys, *argv, "--zeros-file", ZEROS_FILE)
+    assert code == EXIT_PASS
+    assert used in out
+
+
 def test_missing_file_usage_error(capsys):
     code, _, err = run(capsys, "verify", "p0_zeros",
                        "--zeros-file", "/nonexistent/zeros.txt")

@@ -7,11 +7,8 @@ from zetasum import criteria, digit_series
 from zetasum.cli import EXIT_PASS, main
 from zetasum.criteria import (
     IdentityReport,
-    TailCorrection,
-    g_value,
     gn_multisum,
     li_lambda,
-    tail_correction_p0,
     verify_identity,
     zero_sum_p0,
 )
@@ -108,13 +105,6 @@ def test_sums_run_on_a_table_loaded_past_double_range(zeros_table):
     a, b = zero_sum_p0(deep, precision=300), zero_sum_p0(zeros_table)
     with workdps(60):
         assert abs(a.value().value - b.value().value) <= a.tail_bound.value + b.tail_bound.value
-
-
-def test_tail_correction_record(zeros_table):
-    tc = tail_correction_p0(zeros_table.truncated(100))
-    assert isinstance(tc, TailCorrection)
-    assert tc.correction.value > 0
-    assert tc.bound_on_remainder.value > 0
 
 
 def test_li_lambda_single_zero():
@@ -226,29 +216,6 @@ def test_gn3_matches_ordered_triple_loop(zeros_table):
                     total += base * xs[l] * (xs[j] - xs[l]) ** 2 * (xs[k] - xs[l]) ** 2
         total *= 6
         assert abs(r.value().value - total) <= mpf(10) ** -35 * total
-
-
-def test_g_value_half():
-    assert float(g_value(mpf(1) / 2)) == 4.0
-
-
-def test_g_value_on_line_is_real():
-    z = complex(0.5, float(mpf(GAMMA_1)))
-    v = g_value(z, 30)
-    assert isinstance(v, ExtendedReal)
-    with workdps(40):
-        assert abs(v.value - mpf(LI1_SINGLE)) < mpf(10) ** -12
-
-
-def test_g_value_poles():
-    for z in (0, 1):
-        with pytest.raises(DomainError):
-            g_value(z)
-
-
-def test_g_value_off_line_complex():
-    v = g_value(complex(0.3, 2.0), 30)
-    assert not isinstance(v, ExtendedReal)
 
 
 def test_gn_reduction(zeros_table):
@@ -459,3 +426,20 @@ def test_constants_looks_routes_up_by_name(monkeypatch):
         monkeypatch.setattr(criteria, route, spy)
     assert main(["constants", "--terms", "200"]) == EXIT_PASS
     assert set(calls) == set(routes)
+
+
+def test_constants_runs_each_route_once(monkeypatch):
+    # one log4pi_paired sum serves both the ln(4/pi) and the ln pi rows
+    calls = []
+    routes = ("gamma_addison", "stieltjes", "log4pi_paired", "log4pi_alternating",
+              "log2_series", "main_series", "p01_integral")
+    for route in routes:
+        real = getattr(criteria, route)
+
+        def spy(*args, route=route, real=real, **kwargs):
+            calls.append(route)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(criteria, route, spy)
+    assert main(["constants", "--terms", "200"]) == EXIT_PASS
+    assert sorted(calls) == sorted(routes)

@@ -4,19 +4,19 @@ from itertools import islice
 import pytest
 from mpmath import mp, mpf, workdps
 
-from zetasum.numerics import DomainError, quadrature, target_constant
+from zetasum.numerics import DomainError, target_constant
 from zetasum.special_series import (
     StieltjesRequest,
     _em_remainder_bound,
     _log_power_derivative_coeffs,
     p01_integral,
-    p01_integrand,
     p01_term,
     p12_closed_form,
     p12_series,
     p12_term,
     stieltjes,
 )
+from tests.conftest import p01_integrand, quadrature
 
 # independently computed reference values (40-digit Euler-Maclaurin /
 # quadrature oracles, frozen)

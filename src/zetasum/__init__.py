@@ -5,14 +5,10 @@ zeta-zero sums), with certified tail bounds throughout."""
 from .numerics import (
     DEFAULT_PRECISION,
     DomainError,
-    ExactRational,
     ExtendedReal,
     Interval,
     digamma,
-    euler_gamma,
-    ln2,
     ln_gamma,
-    ln_pi,
     polygamma,
     target_constant,
 )

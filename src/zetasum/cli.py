@@ -5,13 +5,16 @@ verifier's table); this module formats what they return.
 
 argparse is the only place inputs are parsed, checked and dispatched: each
 subcommand's parser (zeros has three: find, check and export) names its
-handler and holds only the flags that handler reads; --zeros-file and
---height, the two sources of zeros, exclude each other.  The flags can also
+handler and holds only the flags that handler reads.  The flags can also
 be set through environment variables with the ZETASUM_ prefix (e.g.
 ZETASUM_PRECISION=30), each applying only where its flag exists.  The
 variable's string is the flag's default, and argparse converts it with the
 flag's own checked type, so a bad value is a usage error like a bad flag.
 An explicit flag wins, and the variable is then not checked.
+
+--zeros-file and --height, the two sources of zeros, exclude each other:
+both flags, or both variables with neither flag, are a usage error, and
+either flag given discards the other's variable unchecked.
 
 Exit codes: 0 on pass, 1 on computational failure, 2 on usage errors.
 """
@@ -68,6 +71,15 @@ _format = _checked(str, FORMATS.__contains__, "must be one of " + ", ".join(FORM
 _switch = _checked({"1": True, "0": False}.get, lambda on: on is not None, "must be 1 or 0")
 
 
+class _ZeroSource(argparse.Action):
+    """Store --zeros-file or --height and drop the other source's default,
+    so that the flag given is the one source of zeros."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, "height" if self.dest == "zeros_file" else "zeros_file", None)
+        setattr(namespace, self.dest, values)
+
+
 def _add_flags(p, *names: str, required: tuple = ()):
     """Add the named flags to the parser or argument group p, each
     defaulting to its ZETASUM_ variable as it is now.  A flag in required
@@ -76,9 +88,10 @@ def _add_flags(p, *names: str, required: tuple = ()):
         "precision": (_precision, _env("PRECISION", DEFAULT_PRECISION),
                       dict(help=f"working precision in decimal digits (>= {MIN_PRECISION})")),
         "terms": (_positive, _env("TERMS"), dict(help="series term count override")),
-        "zeros-file": (None, _env("ZEROS_FILE"), dict(help="path to a zero-ordinate table")),
-        "height": (_height, _env("HEIGHT"),
-                   dict(help="compute zeros up to this ordinate instead of loading")),
+        "zeros-file": (None, _env("ZEROS_FILE"),
+                       dict(action=_ZeroSource, help="path to a zero-ordinate table")),
+        "height": (_height, _env("HEIGHT"), dict(
+            action=_ZeroSource, help="compute zeros up to this ordinate instead of loading")),
         "format": (_format, _env("FORMAT", "text"), dict(metavar="{" + ",".join(FORMATS) + "}")),
         "no-tail-correction": (_switch, _env("NO_TAIL_CORRECTION", False), dict(
             action="store_true", help="skip density-based completion of zero sums")),
@@ -176,7 +189,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_zeros_find(args) -> int:
-    table = find_zeros(args.height, precision=args.precision)
+    table = find_zeros(args.height)
     if args.output:
         write_zero_table(table, args.output)
         print(f"{len(table)} zeros up to t={args.height} -> {args.output}")
@@ -188,7 +201,7 @@ def cmd_zeros_find(args) -> int:
 
 def cmd_zeros_check(args) -> int:
     try:
-        table = load_zero_table(args.path, precision=args.precision)
+        table = load_zero_table(args.path)
     except ZeroTableError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -197,7 +210,7 @@ def cmd_zeros_check(args) -> int:
 
 
 def cmd_zeros_export(args) -> int:
-    table = load_zero_table(args.path, precision=args.precision)
+    table = load_zero_table(args.path)
     write_zero_table(table, args.output, limit=args.limit)
     n = args.limit if args.limit is not None else len(table)
     print(f"wrote {min(n, len(table))} ordinates -> {args.output}")
@@ -252,17 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = zsub.add_parser("find", help="compute the zeros up to --height")
     p.add_argument("--output", help="output file (default: print the ordinates)")
     p.set_defaults(run=cmd_zeros_find)
-    _add_flags(p, "precision", "height", required=("height",))
+    _add_flags(p, "height", required=("height",))
     p = zsub.add_parser("check", help="validate a zero table")
     p.add_argument("path", help="input table")
     p.set_defaults(run=cmd_zeros_check)
-    _add_flags(p, "precision")
     p = zsub.add_parser("export", help="copy a zero table, optionally truncated")
     p.add_argument("path", help="input table")
     p.add_argument("--output", required=True, help="output file")
     p.add_argument("--limit", type=int, help="truncate export to this many zeros")
     p.set_defaults(run=cmd_zeros_export)
-    _add_flags(p, "precision")
 
     p = sub.add_parser("li", help="Keiper-Li coefficients lambda_1..lambda_n")
     p.add_argument("n_max", type=_positive)
@@ -284,6 +295,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "zeros_file", None) and getattr(args, "height", None) is not None:
+            parser.error(f"{ENV_PREFIX}ZEROS_FILE and {ENV_PREFIX}HEIGHT exclude each other; "
+                         "give --zeros-file or --height")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -24,10 +24,6 @@ from .numerics import (
     ExtendedReal,
     _GUARD,
     _rounding_slack,
-    euler_gamma,
-    ln2,
-    ln_pi,
-    target_constant,
 )
 from .digit_series import (
     _FIXED_GUARD_BITS,
@@ -37,7 +33,6 @@ from .digit_series import (
     gamma_addison,
     log2_series,
     log2pi_dual,
-    log4pi_alternating,
     log4pi_paired,
     main_series,
     pochtipochti_series,
@@ -318,21 +313,28 @@ def _digit(name: str):
 
 
 def _closed(label: str, value):
-    """The closed form value(p), with the rounding slack as its bound."""
-    return lambda N, p: SeriesResult(
-        value(p), 0, ExtendedReal.of(_rounding_slack(p), p), label)
+    """The closed form value(), an mpf expression evaluated at p digits,
+    with the rounding slack as its bound."""
+    def route(N, p):
+        with workdps(p + _GUARD):
+            return SeriesResult(ExtendedReal(value(), p), 0,
+                                ExtendedReal(_rounding_slack(p), p), label)
+    return route
 
 
-def _less(shift: ExtendedReal, r: SeriesResult, p: int) -> SeriesResult:
-    """shift minus r's value at p digits, with r's terms and bound."""
-    return SeriesResult(shift - r.value(p), r.terms_used, r.tail_bound, r.series_id)
+def _less(shift: mpf, r: SeriesResult, p: int) -> SeriesResult:
+    """shift minus r's value at p digits, with r's terms and bound; run
+    under workdps(p + _GUARD)."""
+    return SeriesResult(ExtendedReal(shift - r.value(p).value, p),
+                        r.terms_used, r.tail_bound, r.series_id)
 
 
 def _stieltjes0(N, p):
     return stieltjes(StieltjesRequest(0), p)
 
 
-_TARGET = ("gamma - ln(4 pi) + 2", _closed("constant", lambda p: target_constant(p)))
+_TARGET = ("gamma - ln(4 pi) + 2",
+           _closed("constant", lambda: mp.euler - mp.ln(4 * mp.pi) + 2))
 _P01 = ("p01_integral", lambda N, p: p01_integral(N, precision=p))
 
 # identity id -> (label_a, route_a, label_b, route_b, default N)
@@ -342,23 +344,23 @@ _IDENTITIES = {
     "p12": ("p12_series", lambda N, p: p12_series(N, precision=p), *_TARGET, 10_000),
     "pochti": ("combined_pochti", _digit("combined_pochti"),
                "gamma - ln pi + ln 2",
-               _closed("constant", lambda p: euler_gamma(p) - ln_pi(p) + ln2(p)),
+               _closed("constant", lambda: mp.euler - mp.ln(mp.pi) + mp.ln(2)),
                100_000),
     "log2": ("log2_series", _digit("log2_series"),
-             "3/4 - ln 2", _closed("constant", lambda p: ExtendedReal.of(0.75, p) - ln2(p)),
+             "3/4 - ln 2", _closed("constant", lambda: mpf(3) / 4 - mp.ln(2)),
              100_000),
     "addison": ("gamma_addison", _digit("gamma_addison"),
                 "stieltjes(0)", _stieltjes0, 100_000),
     "vacca_dual": ("log4pi_paired", _digit("log4pi_paired"),
-                   "ln(4/pi)", _closed("constant", lambda p: 2 * ln2(p) - ln_pi(p)),
+                   "ln(4/pi)", _closed("constant", lambda: 2 * mp.ln(2) - mp.ln(mp.pi)),
                    100_000),
     "dual_addison": ("log2pi_dual", _digit("log2pi_dual"),
-                     "ln(2/pi)", _closed("constant", lambda p: ln2(p) - ln_pi(p)),
+                     "ln(2/pi)", _closed("constant", lambda: mp.ln(2) - mp.ln(mp.pi)),
                      100_000),
     "pochtipochti": ("pochtipochti_series", _digit("pochtipochti_series"),
                      "gamma - ln pi - 2 ln 2 + 9/4",
-                     _closed("constant", lambda p: euler_gamma(p) - ln_pi(p) - 2 * ln2(p)
-                             + ExtendedReal.of(mpf(9) / 4, p)),
+                     _closed("constant", lambda: mp.euler - mp.ln(mp.pi) - 2 * mp.ln(2)
+                             + mpf(9) / 4),
                      100_000),
 }
 
@@ -393,13 +395,11 @@ def verify_identity(
             raise DomainError(f"unknown identity {identity_id!r}; "
                               f"known: {', '.join(IDENTITY_IDS)}")
         b = (label_b, route_b(N, p))
-        va = a[1].value(p)
-        vb = b[1].value(p)
-        discrepancy = abs(va - vb)
-        tolerance = a[1].tail_bound + b[1].tail_bound + \
-            ExtendedReal.of(_rounding_slack(p), p)
-        verdict = "pass" if discrepancy.value <= tolerance.value else "fail"
-        return IdentityReport(identity_id, a, b, discrepancy, tolerance, verdict)
+        discrepancy = abs(a[1].value(p).value - b[1].value(p).value)
+        tolerance = a[1].tail_bound.value + b[1].tail_bound.value + _rounding_slack(p)
+        verdict = "pass" if discrepancy <= tolerance else "fail"
+        return IdentityReport(identity_id, a, b, ExtendedReal(discrepancy, p),
+                              ExtendedReal(tolerance, p), verdict)
 
 
 def constants(N: int, p: int) -> dict:
@@ -407,17 +407,18 @@ def constants(N: int, p: int) -> dict:
     constant -> its two (label, SeriesResult) rows, in print order.  Each
     route runs once: the ln pi row reuses the ln(4/pi) row's log4pi_paired
     sum."""
-    log4pi = _digit("log4pi_paired")(N, p)
-    return {
-        "gamma": (("gamma_addison", _digit("gamma_addison")(N, p)),
-                  ("stieltjes[0]", _stieltjes0(N, p))),
-        "ln(4/pi)": (("log4pi_paired", log4pi),
-                     ("log4pi_alternating", _digit("log4pi_alternating")(2 * N + 1, p))),
-        "ln 2": (("3/4 - log2_series",
-                  _less(ExtendedReal.of(mpf(3) / 4, p), _digit("log2_series")(N, p), p)),
-                 ("reference", _closed("reference", ln2)(N, p))),
-        "ln pi": (("2 ln 2 - log4pi_paired", _less(2 * ln2(p), log4pi, p)),
-                  ("reference", _closed("reference", ln_pi)(N, p))),
-        "gamma - ln(4 pi) + 2": (("main_series", _digit("main_series")(N, p)),
-                                 ("p01_integral", p01_integral(N, precision=p))),
-    }
+    with workdps(p + _GUARD):
+        log4pi = _digit("log4pi_paired")(N, p)
+        return {
+            "gamma": (("gamma_addison", _digit("gamma_addison")(N, p)),
+                      ("stieltjes[0]", _stieltjes0(N, p))),
+            "ln(4/pi)": (("log4pi_paired", log4pi),
+                         ("reference",
+                          _closed("reference", lambda: 2 * mp.ln(2) - mp.ln(mp.pi))(N, p))),
+            "ln 2": (("3/4 - log2_series", _less(mpf(3) / 4, _digit("log2_series")(N, p), p)),
+                     ("reference", _closed("reference", lambda: mp.ln(2))(N, p))),
+            "ln pi": (("2 ln 2 - log4pi_paired", _less(2 * mp.ln(2), log4pi, p)),
+                      ("reference", _closed("reference", lambda: mp.ln(mp.pi))(N, p))),
+            "gamma - ln(4 pi) + 2": (("main_series", _digit("main_series")(N, p)),
+                                     ("p01_integral", p01_integral(N, precision=p))),
+        }

@@ -13,7 +13,7 @@ n = 2m, 2m+1 folds onto the paired term w(m)/(2m(2m+1)).  The per-term
 closures and the block evaluator below both derive from the row.
 
 exact_limit is the largest term count whose partial sum is returned
-exactly, as ExactRational.  A sum of more terms is taken in fixed point
+exactly, as a Fraction.  A sum of more terms is taken in fixed point
 from the first index on and returned as ExtendedReal; every result carries
 a certified tail bound, which for a fixed-point sum also covers its
 rounding and the Taylor remainders of the blocks.
@@ -85,7 +85,6 @@ from mpmath import mp, mpf, workdps
 from .numerics import (
     DEFAULT_PRECISION,
     DomainError,
-    ExactRational,
     ExtendedReal,
     Interval,
     _GUARD,
@@ -132,7 +131,7 @@ class SeriesResult:
     partial_sum + tail_bound].
     """
 
-    partial_sum: Union[ExactRational, ExtendedReal]
+    partial_sum: Union[Fraction, ExtendedReal]
     terms_used: int
     tail_bound: ExtendedReal
     series_id: str
@@ -149,10 +148,11 @@ class SeriesResult:
         return ExtendedReal.of(self.partial_sum, p)
 
     def enclosure(self) -> Interval:
-        v = self.value()
-        if self.positive_terms:
-            return Interval(v, v + self.tail_bound)
-        return Interval(v - self.tail_bound, v + self.tail_bound)
+        v, t = self.value(), self.tail_bound
+        p = min(v.precision, t.precision)
+        with workdps(p + _GUARD):
+            lower = v.value if self.positive_terms else v.value - t.value
+            return Interval(ExtendedReal(lower, p), ExtendedReal(v.value + t.value, p))
 
     def is_exact_rational(self) -> bool:
         return isinstance(self.partial_sum, Fraction)

@@ -1,10 +1,13 @@
-"""Extended-precision arithmetic substrate.
+"""Extended-precision value types.
 
-Provides the value types used everywhere else (ExtendedReal, ExactRational,
-Interval), the reference constants, and precision-carrying wrappers around
-mpmath's log-gamma, digamma and polygamma.
+Provides the result records used everywhere else (ExtendedReal, Interval),
+the target constant, and precision-carrying wrappers around mpmath's
+log-gamma, digamma and polygamma.  Exact rationals are plain Fractions.
 
-Everything here is a pure function of its inputs; all types are immutable.
+ExtendedReal does no arithmetic.  Every computation here and in the routes
+runs in mpf under workdps(precision + _GUARD) and wraps its result once, at
+the end.  Everything here is a pure function of its inputs; all types are
+immutable.
 """
 
 from __future__ import annotations
@@ -15,15 +18,10 @@ from typing import Union
 
 from mpmath import mp, mpf, workdps
 
-# Exact integer ratios.  fractions.Fraction already guarantees the canonical
-# form we need (gcd-reduced, positive denominator, exact add/mul), so it is
-# used directly rather than reimplemented.
-ExactRational = Fraction
-
 DEFAULT_PRECISION = 50
 MIN_PRECISION = 15
 
-# Guard digits used inside every operation so that the 10^(2-P) relative
+# Guard digits used inside every computation so that the 10^(2-P) relative
 # error contract holds with room to spare.
 _GUARD = 10
 
@@ -54,11 +52,9 @@ def _to_mpf(x) -> mpf:
 
 @dataclass(frozen=True)
 class ExtendedReal:
-    """A real number carrying its working precision in decimal digits.
-
-    Arithmetic propagates precision as the minimum of the operands'
-    precisions; each operation is carried out with guard digits so the
-    relative error stays below 10^(2-P).
+    """A result record: an mpf value and the precision in decimal digits
+    it was computed at, with relative error below 10^(2-P).  Two records
+    are equal when both value and precision are.
     """
 
     value: mpf
@@ -79,72 +75,6 @@ class ExtendedReal:
             return x
         with workdps(precision + _GUARD):
             return ExtendedReal(_to_mpf(x), precision)
-
-    # -- arithmetic -------------------------------------------------------
-
-    def _coerce(self, other: Number) -> "ExtendedReal":
-        if isinstance(other, ExtendedReal):
-            return other
-        return ExtendedReal.of(other, self.precision)
-
-    def _binop(self, other: Number, op) -> "ExtendedReal":
-        other = self._coerce(other)
-        p = min(self.precision, other.precision)
-        with workdps(p + _GUARD):
-            return ExtendedReal(op(self.value, other.value), p)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero ExtendedReal")
-        return self._binop(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
-
-    def __neg__(self):
-        return ExtendedReal(-self.value, self.precision)
-
-    def __abs__(self):
-        return ExtendedReal(abs(self.value), self.precision)
-
-    # -- comparisons (by value) -------------------------------------------
-
-    def __lt__(self, other):
-        return self.value < _to_mpf(other)
-
-    def __le__(self, other):
-        return self.value <= _to_mpf(other)
-
-    def __gt__(self, other):
-        return self.value > _to_mpf(other)
-
-    def __ge__(self, other):
-        return self.value >= _to_mpf(other)
-
-    def __eq__(self, other):
-        if isinstance(other, (ExtendedReal, int, float, Fraction)):
-            return self.value == _to_mpf(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.value)
 
     # -- conversion -------------------------------------------------------
 
@@ -176,23 +106,6 @@ class Interval:
 
 # ---------------------------------------------------------------------------
 # Constants
-
-
-def ln2(precision: int = DEFAULT_PRECISION) -> ExtendedReal:
-    with workdps(precision + _GUARD):
-        return ExtendedReal(mp.ln(2), precision)
-
-
-def ln_pi(precision: int = DEFAULT_PRECISION) -> ExtendedReal:
-    with workdps(precision + _GUARD):
-        return ExtendedReal(mp.ln(mp.pi), precision)
-
-
-def euler_gamma(precision: int = DEFAULT_PRECISION) -> ExtendedReal:
-    """Euler's constant, taken from the underlying library as an
-    independent reference value for cross-checks."""
-    with workdps(precision + _GUARD):
-        return ExtendedReal(+mp.euler, precision)
 
 
 def target_constant(precision: int = DEFAULT_PRECISION) -> ExtendedReal:

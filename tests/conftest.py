@@ -35,30 +35,27 @@ class QuadratureError(RuntimeError):
 
 
 def quadrature(
-    f: Callable[[ExtendedReal], Number],
+    f: Callable[[mpf], mpf],
     a: Number,
     b: Number,
     target_error: Number,
     precision: int = DEFAULT_PRECISION,
 ) -> Interval:
     """Integrate a smooth f over the finite interval [a, b] with mpmath's
-    quad (tanh-sinh), at precision plus guard digits.
+    quad (tanh-sinh), in mpf at precision plus guard digits.
 
     Returns an interval around quad's value whose half-width is quad's
     error estimate, or 10^-(precision-2) if that is larger.  The width is an
     estimate, not a proof.  Raises QuadratureError if the estimate exceeds
     target_error.
     """
-    a_x = ExtendedReal.of(a, precision)
-    b_x = ExtendedReal.of(b, precision)
-    if not a_x.value < b_x.value:
-        raise DomainError("quadrature requires a < b")
-    tgt = _to_mpf(target_error)
-    if tgt <= 0:
-        raise DomainError("target_error must be positive")
     with workdps(precision + _GUARD):
-        total, err = mp.quad(lambda q: _to_mpf(f(ExtendedReal(q, precision))),
-                             [a_x.value, b_x.value], error=True)
+        a, b, tgt = _to_mpf(a), _to_mpf(b), _to_mpf(target_error)
+        if not a < b:
+            raise DomainError("quadrature requires a < b")
+        if tgt <= 0:
+            raise DomainError("target_error must be positive")
+        total, err = mp.quad(f, [a, b], error=True)
         if err > tgt:
             raise QuadratureError(
                 f"quadrature error estimate {mp.nstr(err, 3)} exceeds target {mp.nstr(tgt, 3)}")
@@ -69,13 +66,12 @@ def quadrature(
         )
 
 
-def p01_integrand(q: ExtendedReal) -> ExtendedReal:
+def p01_integrand(q: mpf) -> mpf:
     """(1 - {q}^2) / (2 q^2 (q+1)^2), the positive integrand behind
-    p01_term; exposed for quadrature cross-checks."""
-    with workdps(q.precision + _GUARD):
-        v = q.value
-        u = v - mp.floor(v)
-        return ExtendedReal((1 - u * u) / (2 * v * v * (v + 1) ** 2), q.precision)
+    p01_term; exposed for quadrature cross-checks, evaluated at the
+    caller's working precision."""
+    u = q - mp.floor(q)
+    return (1 - u * u) / (2 * q * q * (q + 1) ** 2)
 
 
 def record_acceptance_line(line: str):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 from mpmath import mp, mpf, workdps
@@ -303,6 +304,30 @@ def test_zeros_file_flag_wins_over_height_variable(capsys, monkeypatch, argv, us
     assert used in out
 
 
+@pytest.mark.parametrize("argv,used", [
+    (("verify", "p0_zeros"), "(terms=1,"),
+    (("li", "1"), "(zeros=1,"),
+    (("gn", "1"), "over 1 zeros"),
+], ids=["verify", "li", "gn"])
+def test_height_flag_wins_over_zeros_file_variable(capsys, monkeypatch, argv, used):
+    # either source's flag discards the other source's variable
+    monkeypatch.setenv("ZETASUM_ZEROS_FILE", ZEROS_FILE)
+    code, out, _ = run(capsys, *argv, "--height", "20")
+    assert code == EXIT_PASS
+    assert used in out
+
+
+@pytest.mark.parametrize("argv", [("verify", "p0_zeros"), ("li", "1"), ("gn", "1")])
+def test_zeros_file_and_height_variables_exclusive(capsys, monkeypatch, argv):
+    # both variables and neither flag name two sources, like both flags
+    monkeypatch.setenv("ZETASUM_ZEROS_FILE", ZEROS_FILE)
+    monkeypatch.setenv("ZETASUM_HEIGHT", "20")
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "ZETASUM_ZEROS_FILE and ZETASUM_HEIGHT exclude each other" in err
+
+
 def test_missing_file_usage_error(capsys):
     code, _, err = run(capsys, "verify", "p0_zeros",
                        "--zeros-file", "/nonexistent/zeros.txt")
@@ -350,6 +375,9 @@ def test_formats_agree(capsys, argv, flatten):
     ("zeros", "check", ZEROS_FILE, "--no-tail-correction"),
     ("zeros", "check", ZEROS_FILE, "--height", "20"),
     ("zeros", "check", ZEROS_FILE, "--zeros-file", ZEROS_FILE),
+    ("zeros", "find", "--height", "20", "--precision", "30"),
+    ("zeros", "check", ZEROS_FILE, "--precision", "30"),
+    ("zeros", "export", ZEROS_FILE, "--output", os.devnull, "--precision", "30"),
     ("li", "2", "--terms", "9"),
     ("gn", "1", "--terms", "9"),
     ("gn", "1", "--no-tail-correction"),
@@ -369,6 +397,7 @@ CONSTANTS = ("constants", "--terms", "200")
 @pytest.mark.parametrize("argv,name,value", [
     (CHECK, "TERMS", "0"), (CHECK, "NO_TAIL_CORRECTION", "true"), (CHECK, "FORMAT", "xml"),
     (CHECK, "HEIGHT", "-1"), (CHECK, "ZEROS_FILE", "/nonexistent/zeros.txt"),
+    (CHECK, "PRECISION", "abc"),
     (CONSTANTS, "NO_TAIL_CORRECTION", "true"), (CONSTANTS, "HEIGHT", "-1"),
     (CONSTANTS, "ZEROS_FILE", "/nonexistent/zeros.txt"),
 ])

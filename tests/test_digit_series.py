@@ -23,8 +23,7 @@ from zetasum.digit_series import (
     main_series,
     pochtipochti_series,
 )
-from zetasum.numerics import (
-    DomainError, ExtendedReal, euler_gamma, ln2, ln_pi, target_constant)
+from zetasum.numerics import DomainError, ExtendedReal
 from tests.conftest import exact_value as _exact
 
 SPECS = {spec.name: spec for spec in digit_series._SPECS}
@@ -104,21 +103,20 @@ def test_paired_equals_alternating_exactly():
 
 def _limit(name):
     p = 40
-    g = euler_gamma(p)
-    l2 = ln2(p)
-    lpi = ln_pi(p)
-    return {
-        "gamma_vacca_alternating": g,
-        "log4pi_alternating": 2 * l2 - lpi,
-        "gamma_paired": g,
-        "log4pi_paired": 2 * l2 - lpi,
-        "gamma_addison": g,
-        "log2pi_dual": l2 - lpi,
-        "combined_pochti": g - lpi + l2,
-        "log2_series": 0.75 - l2,
-        "pochtipochti_series": g - lpi - 2 * l2 + 2.25,
-        "main_series": target_constant(p),
-    }[name]
+    with workdps(p + 10):
+        g, l2, lpi = +mp.euler, mp.ln(2), mp.ln(mp.pi)
+        return ExtendedReal({
+            "gamma_vacca_alternating": g,
+            "log4pi_alternating": 2 * l2 - lpi,
+            "gamma_paired": g,
+            "log4pi_paired": 2 * l2 - lpi,
+            "gamma_addison": g,
+            "log2pi_dual": l2 - lpi,
+            "combined_pochti": g - lpi + l2,
+            "log2_series": mpf(3) / 4 - l2,
+            "pochtipochti_series": g - lpi - 2 * l2 + mpf(9) / 4,
+            "main_series": g - mp.ln(4 * mp.pi) + 2,
+        }[name], p)
 
 
 @pytest.mark.parametrize("fn", [
@@ -167,6 +165,21 @@ def test_monotone_convergence_positive_series():
                pochtipochti_series, main_series):
         values = [fn(N).value().value for N in (5, 10, 20, 40)]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("positive", [True, False])
+def test_enclosure_ends_at_lower_precision(positive):
+    # each end is computed once at the lower of the two precisions (plus
+    # guard digits) and carries that precision
+    third = Fraction(1, 3)
+    r = SeriesResult(ExtendedReal.of(third, 40), 1, ExtendedReal.of(third / 100, 20),
+                     "mixed", positive_terms=positive)
+    enc = r.enclosure()
+    assert enc.lower.precision == enc.upper.precision == 20
+    v, t = r.value().value, r.tail_bound.value
+    with workdps(30):
+        assert enc.upper.value == v + t
+        assert enc.lower.value == (v if positive else v - t)
 
 
 def test_series_result_tail_bound_nonnegative():

@@ -71,8 +71,8 @@ class ExtendedReal:
 
     @staticmethod
     def of(x: Number, precision: int = DEFAULT_PRECISION) -> "ExtendedReal":
-        if isinstance(x, ExtendedReal):
-            return x
+        """x as a record at `precision`; an ExtendedReal x keeps its value
+        unrounded and takes the precision asked for."""
         with workdps(precision + _GUARD):
             return ExtendedReal(_to_mpf(x), precision)
 
@@ -120,9 +120,9 @@ def target_constant(precision: int = DEFAULT_PRECISION) -> ExtendedReal:
 
 def _gamma_family(name: str, fn, x: Number, precision: int | None) -> ExtendedReal:
     """fn(x) for x > 0, at `precision` if given, else at x's own precision."""
-    x = ExtendedReal.of(x, precision or DEFAULT_PRECISION)
-    if precision is not None:
-        x = ExtendedReal(x.value, precision)
+    if precision is None:
+        precision = x.precision if isinstance(x, ExtendedReal) else DEFAULT_PRECISION
+    x = ExtendedReal.of(x, precision)
     if x.value <= 0:
         raise DomainError(f"{name} requires x > 0")
     with workdps(x.precision + _GUARD):

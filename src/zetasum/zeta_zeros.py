@@ -1,12 +1,17 @@
 """Critical-line zeta machinery: Hardy Z evaluation, a Gram-point zero
 finder whose zero count is proven by Rosser's rule and Turing's method in
-Brent's explicit form, Illinois regula falsi refinement, external
+Brent's explicit form, Anderson-Bjorck regula falsi refinement, external
 zero-table ingestion, and the Riemann-von Mangoldt count check (a
 cross-check on computed tables, the only check on ingested ones).
 
 The count proof takes the signs of Z as given.  They come from the
 Euler-Maclaurin evaluation at the scan precision, which carries no
-certified error bound.
+certified error bound.  That evaluation runs in B-bit fixed point (Python
+integers): the main sum takes one cos_sin per prime and one complex product
+per composite, and is within 5 N log2(N) 2^-B < 2^-(prec+1) of its value,
+given mpmath's ln and cos_sin to a few ulps; the Bernoulli corrections are
+normalised by B_2k/(2k)! = (-1)^(k+1) 2 zeta(2k)/(2 pi)^(2k), so that every
+quantity in their recurrence is O(1).
 
 All zeros are represented by their positive ordinate gamma with the point
 taken as 1/2 + i*gamma; every known zero in the supported height range lies
@@ -21,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from mpmath import mp, mpf, mpc, workdps
+from mpmath import mp, mpf, mpc, workdps, workprec
 
 from .numerics import (
     DEFAULT_PRECISION,
@@ -104,33 +109,120 @@ class ZeroTable:
 # ---------------------------------------------------------------------------
 # Hardy Z via Euler-Maclaurin on the critical line
 
-_lnn_cache: dict = {}
+_primes: list = []  # every prime up to _sieved, ascending
+_sieved = 1
+_prime_cache: dict = {}
 _em_coeff_cache: dict = {}
 
 
-def _ln_table(N: int):
-    """Cached (ln n, n^-1/2) pairs for 1..N at the current precision.
+def _prime_table(N: int) -> list:
+    """Cached (p, ln p, floor(2^prec / sqrt(p))) for the primes p <= N at
+    the current precision prec.  The primes come from a cached sieve,
+    extended to at least twice its old limit when N lies beyond it.
 
     Keyed by mp.prec: binary precisions 60 and 61 both read as dps 17.
     """
-    tab = _lnn_cache.setdefault(mp.prec, [])
-    for n in range(len(tab) + 1, N + 1):
-        tab.append((mp.ln(n), 1 / mp.sqrt(n)))
+    global _sieved
+    if N > _sieved:
+        limit = max(N, 2 * _sieved)
+        flags = bytearray([1]) * (limit + 1)
+        flags[:2] = b"\0\0"
+        for p in range(2, math.isqrt(limit) + 1):
+            if flags[p]:
+                flags[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+        _primes[:] = [p for p in range(limit + 1) if flags[p]]
+        _sieved = limit
+    K = bisect_right(_primes, N)
+    tab = _prime_cache.setdefault(mp.prec, [])
+    for p in _primes[len(tab):K]:
+        tab.append((p, mp.ln(p), math.isqrt((1 << 2 * mp.prec) // p)))
+    return tab[:K]
+
+
+def _em_coefficients(k: int, B: int) -> list:
+    """floor(2 zeta(2j) 2^B) for j = 1..k, cached per B.  With them
+    B_2j/(2j)! = (-1)^(j+1) 2 zeta(2j)/(2 pi)^(2j) is a number in
+    (2, pi^2/3] times a power of 1/(2 pi) that the caller folds into its
+    recurrence, so no coefficient is stored below 2^-B."""
+    tab = _em_coeff_cache.setdefault(B, [])
+    if len(tab) < k:
+        with workprec(B + 10):
+            while len(tab) < k:
+                tab.append(_fixed(2 * mp.zeta(2 * len(tab) + 2), B))
     return tab
 
 
-def _em_coefficient(k: int) -> mpf:
-    """B_2k / (2k)!, cached per precision like _ln_table."""
-    tab = _em_coeff_cache.setdefault(mp.prec, [])
-    while len(tab) < k:
-        j = 2 * (len(tab) + 1)
-        tab.append(mp.bernoulli(j) / mp.factorial(j))
-    return tab[k - 1]
+def _fixed(x: mpf, B: int) -> int:
+    """x 2^B truncated to an integer."""
+    return int(mp.ldexp(x, B))
+
+
+def _mul(x: tuple, y: tuple, B: int) -> tuple:
+    """The product of two complex numbers held as pairs of B-bit fixed-point
+    integers, each part floored: within sqrt(2) 2^-B of the exact product."""
+    a, b = x
+    c, d = y
+    return (a * c - b * d) >> B, (a * d + b * c) >> B
+
+
+def _main_sum(t: mpf, N: int, B: int) -> tuple:
+    """sum_{n<=N} n^(-1/2-it) as a pair of B-bit fixed-point integers, for
+    a current precision of at least B + bitlen(floor(t ln N)) + 4 bits.
+
+    n -> n^(-1/2-it) is completely multiplicative, so only the primes need
+    a cos_sin: each prime term p^(-1/2) e^(-it ln p) is evaluated at the
+    current precision and cut to B bits.  Every other term is one complex
+    product of the term of its largest prime factor p and the term of n/p,
+    walking the tree of nondecreasing prime factorisations with only the
+    current chain held.
+
+    Rounding, taking mpmath's ln and cos_sin to be good to a few ulps: the
+    phase t ln p is then within 2^-(B+3), so each prime term is within
+    3 2^-B of its value in modulus.  Every term has modulus at most 1, so a
+    product adds its factors' errors and one floor of sqrt(2) 2^-B; the
+    term of n is within 5 Omega(n) 2^-B, and the sum within
+    5 N log2(N) 2^-B.
+    """
+    W = mp.prec
+    terms = []
+    for p, ln_p, rsqrt in _prime_table(N):
+        c, si = mp.cos_sin(t * ln_p)
+        terms.append((p, rsqrt * _fixed(c, B) >> W, -(rsqrt * _fixed(si, B) >> W)))
+    sr, si = 1 << B, 0  # the term of n = 1
+    stack = [(1, 1 << B, 0, 0)]  # (n, its term, index of its largest prime)
+    while stack:
+        n, a, b, i = stack.pop()
+        lim = N // n
+        for j in range(i, len(terms)):
+            p, x, y = terms[j]
+            if p > lim:
+                break
+            c = (a * x - b * y) >> B
+            d = (a * y + b * x) >> B
+            sr += c
+            si += d
+            if p * p <= lim:
+                stack.append((n * p, c, d, j))
+    return sr, si
 
 
 def _zeta_half_raw(t: mpf) -> mpc:
-    """zeta(1/2 + it) by Euler-Maclaurin with Bernoulli corrections."""
-    s = mpc(mpf(1) / 2, t)
+    """zeta(1/2 + it) by Euler-Maclaurin with Bernoulli corrections, in
+    B-bit fixed point with B = prec + bitlen(N) + bitlen(bitlen(N)) + 4.
+
+    zeta(s) = sum_{n<=N} n^-s + N^-s (N/(s-1) - 1/2 + sum_k c_k), with
+    c_k = B_2k/(2k)! s(s+1)...(s+2k-2) N^(1-2k) = (-1)^(k+1) 2 zeta(2k) v_k
+    and v_k = s(s+1)...(s+2k-2) / (N^(2k-1) (2 pi)^(2k)).  The recurrence
+    v_(k+1) = v_k f_(2k-1) f_(2k), f_j = (s + j)/(2 pi N), keeps every
+    quantity O(1), where the raw B_2k/(2k)! would lose ~2k bits a step.
+    N^-s multiplies the bracket, never a single correction.
+
+    Rounding: the main sum is within 5 N log2(N) 2^-B < 2^-(prec+1) (see
+    _main_sum), and each step of the recurrence adds O(k) floors of 2^-B.
+    The corrections stop once a term N^-s c_k is below eps |total|, or at
+    the smallest term once they turn around (ArithmeticError if that term
+    is still above 1000 eps max(|total|, 1)).
+    """
     # larger N buys faster-converging correction terms; the per-term ratio
     # is roughly ((2k + |s|) / 2 pi N)^2, and the smallest reachable term is
     # about exp(-(2 pi N - t)), so N must grow with both t and precision
@@ -139,38 +231,45 @@ def _zeta_half_raw(t: mpf) -> mpc:
     N = max(12,
             int(tf / (2 * math.pi) * scale) + 8,
             int((mp.dps * 2.4 + tf) / (2 * math.pi)) + 4)
-    tab = _ln_table(N)
-    total = mpc(0, 0)
-    for ln_n, rsqrt in tab[:N]:
-        c, si = mp.cos_sin(t * ln_n)
-        total += mpc(rsqrt * c, -rsqrt * si)
-    Nf = mpf(N)
-    lnN = tab[N - 1][0]
-    n_pow_minus_s = mp.exp(-s * lnN)
-    total += Nf * n_pow_minus_s / (s - 1)
-    total -= n_pow_minus_s / 2
-    # sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * N^(1-s-2k)
-    eps = mpf(10) ** (-(mp.dps - 2))
-    poch = s  # s(s+1)...(s+2k-2) for the current k
-    power = n_pow_minus_s / Nf  # N^(-s-2k+1) for the current k
+    L = N.bit_length()
+    B = mp.prec + L + L.bit_length() + 4
+    inv_eps2 = 10 ** (2 * (mp.dps - 2))  # 1/eps^2, eps = 10^-(dps-2)
+    with workprec(B + int(tf * math.log(N)).bit_length() + 4):
+        main = _main_sum(t, N, B)
+        s = mpc(mpf(1) / 2, t)
+        n_pow_minus_s = mp.exp(-s * mp.ln(N))
+        ns = _fixed(n_pow_minus_s.real, B), _fixed(n_pow_minus_s.imag, B)
+        head = N / (s - 1) - mpf(1) / 2
+        bracket = _fixed(head.real, B), _fixed(head.imag, B)
+        e, u = _fixed(1 / (2 * mp.pi * N), B), _fixed(t / (2 * mp.pi * N), B)
+        v1 = s / (N * (2 * mp.pi) ** 2)
+        v = _fixed(v1.real, B), _fixed(v1.imag, B)
+
+    def total_of(bracket):
+        x, y = _mul(ns, bracket, B)
+        return main[0] + x, main[1] + y
+
+    total = total_of(bracket)
     prev = None
     for k in range(1, 200):
-        term = _em_coefficient(k) * poch * power
-        total += term
-        mag = abs(term)
-        if mag < eps * abs(total):
+        z = _em_coefficients(k, B)[k - 1] * (1 if k % 2 else -1)
+        c = (z * v[0]) >> B, (z * v[1]) >> B
+        with_c = bracket[0] + c[0], bracket[1] + c[1]
+        total_c = total_of(with_c)
+        mag = (c[0] ** 2 + c[1] ** 2) // N  # |N^-s c_k|^2, scaled by 2^2B
+        if mag * inv_eps2 < total_c[0] ** 2 + total_c[1] ** 2:
+            total = total_c
             break
         if prev is not None and mag > prev:
             # asymptotic tail turned around: stop at the smallest term
-            total -= term
-            if prev > 1000 * eps * max(abs(total), mpf(1)):
+            if prev * inv_eps2 > 10 ** 6 * max(total[0] ** 2 + total[1] ** 2, 1 << 2 * B):
                 raise ArithmeticError(
                     "Euler-Maclaurin corrections bottom out above target accuracy")
             break
-        prev = mag
-        poch = poch * (s + 2 * k - 1) * (s + 2 * k)
-        power = power / (Nf * Nf)
-    return total
+        bracket, total, prev = with_c, total_c, mag
+        v = _mul(v, ((4 * k - 1) * e >> 1, u), B)
+        v = _mul(v, ((4 * k + 1) * e >> 1, u), B)
+    return mpc(mp.ldexp(total[0], -B), mp.ldexp(total[1], -B))
 
 
 def _theta_raw(t: mpf) -> mpf:
@@ -219,10 +318,19 @@ REFINE_TOL = 1e-9  # width of a refined bracket, a computed table's claimed accu
 REFINE_MAX_EVALS = 100
 
 
+def _anderson_bjorck(f_new: mpf, f_old: mpf) -> mpf:
+    """The factor g = 1 - f_new/f_old for the value at the end kept twice,
+    where f_new replaces f_old at the other end; 1/2 when g <= 0 or
+    f_old = 0 (a secant point that hit the zero exactly)."""
+    g = 1 - f_new / f_old if f_old else 0
+    return g if g > 0 else mpf(1) / 2
+
+
 def _refine(z, lo: float, hi: float, z_lo: mpf, z_hi: mpf, tol: float) -> mpf:
     """Midpoint of a sign-change bracket of z inside [lo, hi] no wider than
-    tol, by regula falsi with the Illinois modification (Dowell & Jarratt,
-    BIT 11, 1971).
+    tol, by regula falsi with the Anderson-Bjorck modification (Anderson &
+    Bjorck, BIT 13, 1973): when the same end is kept twice, its value is
+    scaled by _anderson_bjorck's factor.
 
     Each secant point is clamped tol/4 inside the current bracket, so the
     bracket shrinks on every evaluation and closes once the secant estimate
@@ -239,15 +347,13 @@ def _refine(z, lo: float, hi: float, z_lo: mpf, z_hi: mpf, tol: float) -> mpf:
         m = min(max(m, a + margin), b - margin)
         fm = z(m)
         if (fa < 0) != (fm < 0):
-            b, fb = m, fm
-            if moved == "b":
-                fa /= 2  # a stayed twice: halve its value (Illinois step)
-            moved = "b"
+            if moved == "b":  # a kept twice
+                fa *= _anderson_bjorck(fm, fb)
+            b, fb, moved = m, fm, "b"
         else:
-            a, fa = m, fm
             if moved == "a":
-                fb /= 2
-            moved = "a"
+                fb *= _anderson_bjorck(fm, fa)
+            a, fa, moved = m, fm, "a"
     if b - a <= tol:
         return (a + b) / 2
     raise ArithmeticError(
@@ -314,8 +420,8 @@ def _block_brackets(z, block: list) -> list:
 
 def find_zeros(t_max, precision: int = DEFAULT_PRECISION) -> ZeroTable:
     """All zeros with ordinate in (0, t_max], found as sign changes of
-    Hardy Z at and between the Gram points and refined by Illinois regula
-    falsi, with their count proven by Turing's method.
+    Hardy Z at and between the Gram points and refined by Anderson-Bjorck
+    regula falsi, with their count proven by Turing's method.
 
     Z is evaluated once at each Gram point g_n.  A Gram interval whose ends
     obey Gram's law, (-1)^n Z(g_n) > 0, is one sign-change bracket; a run of

@@ -25,6 +25,13 @@ def test_precision_floor():
         ExtendedReal.of(1, precision=10)
 
 
+def test_of_takes_requested_precision():
+    x = ExtendedReal.of(3, 40)
+    y = ExtendedReal.of(x, 20)
+    assert y.precision == 20
+    assert y.value == x.value
+
+
 def test_constants_against_mpmath():
     with workdps(40):
         tgt = mp.euler - mp.ln(4 * mp.pi) + 2

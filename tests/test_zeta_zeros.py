@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from mpmath import mp, mpf, workdps, workprec
+from mpmath import mp, mpc, mpf, workdps, workprec
 
 from zetasum import zeta_zeros
 from zetasum.numerics import DomainError, ExtendedReal, _GUARD
@@ -44,7 +46,7 @@ def test_hardy_z_caches_keyed_by_binary_precision(monkeypatch):
     # 60 and 61 bits both read as dps 17: caches keyed by dps would hand
     # 60-bit logarithms to a 61-bit evaluation (its last bit moved at 100)
     def z_61_bits(warm_at_60_bits):
-        monkeypatch.setattr(zeta_zeros, "_lnn_cache", {})
+        monkeypatch.setattr(zeta_zeros, "_prime_cache", {})
         monkeypatch.setattr(zeta_zeros, "_em_coeff_cache", {})
         if warm_at_60_bits:
             with workprec(60):
@@ -53,6 +55,79 @@ def test_hardy_z_caches_keyed_by_binary_precision(monkeypatch):
             return zeta_zeros._hardy_z_raw(mpf(100))
 
     assert z_61_bits(False) == z_61_bits(True)
+
+
+@pytest.mark.parametrize("precision", [30, 50, 300])
+@pytest.mark.parametrize("t", ["14.0", "100.7", "981.3", "5000"])
+def test_hardy_z_matches_siegelz(t, precision):
+    # mp.siegelz is Riemann-Siegel, an independent method; at 300 digits
+    # the cutoff rule takes N ~ 200 t terms
+    z = hardy_z(t, precision)
+    with workdps(precision + _GUARD):
+        assert abs(z.value - mp.siegelz(mpf(t))) < mpf(10) ** (2 - precision)
+
+
+@pytest.mark.parametrize("N", [1, 2, 12, 97, 256, 360])
+@pytest.mark.parametrize("t", ["14.0", "981.3"])
+def test_main_sum_matches_direct_sum(t, N):
+    B = 70
+    t = mpf(t)
+    with workprec(B + int(float(t) * math.log(N)).bit_length() + 4):
+        sr, si = zeta_zeros._main_sum(t, N, B)
+    with workprec(2 * B + 40):
+        s = mpc(mpf(1) / 2, t)
+        direct = sum(mp.power(n, -s) for n in range(1, N + 1))
+        got = mpc(mp.ldexp(sr, -B), mp.ldexp(si, -B))
+        # the bound in _main_sum's docstring
+        assert abs(got - direct) <= 5 * N * math.log2(N) * mpf(2) ** -B
+
+
+def _zeta_half_termwise(t):
+    """zeta(1/2 + it) by the Euler-Maclaurin evaluation that the fixed-point
+    kernel replaced: one mpc cos_sin per term and the raw B_2k/(2k)!, at the
+    current precision, with the same cutoff and stopping rule."""
+    s = mpc(mpf(1) / 2, t)
+    scale = max(3.0, 10 ** (mp.dps / 100))
+    tf = float(t)
+    N = max(12,
+            int(tf / (2 * math.pi) * scale) + 8,
+            int((mp.dps * 2.4 + tf) / (2 * math.pi)) + 4)
+    total = mpc(0, 0)
+    for n in range(1, N + 1):
+        c, si = mp.cos_sin(t * mp.ln(n))
+        total += mpc(c, -si) / mp.sqrt(n)
+    n_pow_minus_s = mp.exp(-s * mp.ln(N))
+    total += N * n_pow_minus_s / (s - 1) - n_pow_minus_s / 2
+    eps = mpf(10) ** (-(mp.dps - 2))
+    poch, power, prev = s, n_pow_minus_s / N, None
+    for k in range(1, 200):
+        term = mp.bernoulli(2 * k) / mp.factorial(2 * k) * poch * power
+        total += term
+        mag = abs(term)
+        if mag < eps * abs(total):
+            break
+        if prev is not None and mag > prev:
+            total -= term
+            break
+        prev = mag
+        poch *= (s + 2 * k - 1) * (s + 2 * k)
+        power /= N * N
+    return total
+
+
+def test_hardy_z_at_scan_precision_no_worse_than_termwise():
+    ts = [10 + 145 * mpf(i) / 39 for i in range(40)] + [mpf("981.3"), mpf(5000)]
+    worst_new = worst_old = 0
+    with workdps(17):
+        for t in ts:
+            new = zeta_zeros._hardy_z_raw(t)
+            c, si = mp.cos_sin(zeta_zeros._theta_raw(t))
+            old = (mpc(c, si) * _zeta_half_termwise(t)).real
+            with workdps(40):
+                ref = mp.siegelz(t)
+                worst_new = max(worst_new, abs(new - ref))
+                worst_old = max(worst_old, abs(old - ref))
+    assert worst_new <= worst_old
 
 
 def test_hardy_z_domain():
@@ -103,7 +178,7 @@ def test_find_zeros_100_evaluation_budget(monkeypatch):
     # the finder looks _hardy_z_raw up by name, so the wrapper sees every call
     z_calls = _count_calls(monkeypatch, "_hardy_z_raw")
     assert len(find_zeros(100)) == 29
-    assert 0 < len(z_calls) <= 260
+    assert 0 < len(z_calls) <= 220
 
 
 def _assert_matches_table(table, zeros_table, count):
@@ -121,7 +196,7 @@ def test_find_zeros_150_no_rescan(monkeypatch, zeros_table):
     table = find_zeros(150)
     # one Gram-point scan; the count check runs once, as a cross-check
     assert len(checks) == 1
-    assert len(z_calls) <= 480
+    assert len(z_calls) <= 390
     _assert_matches_table(table, zeros_table, 52)
 
 
@@ -156,15 +231,20 @@ def test_find_zeros_hidden_pair(monkeypatch, zeros_table):
         find_zeros(31)
 
 
-def test_refine_illinois():
+def test_refine_anderson_bjorck():
+    calls = []
+
     def z(t):
+        calls.append(t)
         return mp.exp(20 * t) - 2
 
     # plain regula falsi keeps the right end here and creeps up from the
-    # left by about tol/4 a step, so it would run into the evaluation cap
+    # left by about tol/4 a step, so it would run into the evaluation cap;
+    # Illinois halving took 33 evaluations
     with workdps(17):
         g = _refine(z, 0.0, 1.0, z(mpf(0)), z(mpf(1)), 1e-9)
         assert abs(g - mp.ln(2) / 20) <= mpf("5e-10")
+    assert len(calls) <= 11
 
 
 def test_refine_raises_when_width_unreachable():

@@ -4,8 +4,9 @@ manage zero tables, emit machine-readable reports.  The routes of
 verifier's table); this module formats what they return.
 
 argparse is the only place inputs are parsed, checked and dispatched: each
-subcommand's parser (zeros has three: find, check and export) names its
-handler and holds only the flags that handler reads.  The flags can also
+subcommand's parser (zeros has three: find, check and export; verify has
+p0_zeros and one under the name of each series identity) names its handler
+and holds only the flags that handler reads.  The flags can also
 be set through environment variables with the ZETASUM_ prefix (e.g.
 ZETASUM_PRECISION=30), each applying only where its flag exists.  The
 variable's string is the flag's default, and argparse converts it with the
@@ -26,6 +27,8 @@ import csv
 import json
 import os
 import sys
+
+from mpmath import mp
 
 from .numerics import DEFAULT_PRECISION, MIN_PRECISION
 from .digit_series import SeriesResult
@@ -109,7 +112,7 @@ def _get_zeros(args) -> ZeroTable:
     if args.zeros_file:
         return load_zero_table(args.zeros_file, precision=args.precision)
     height = 100.0 if args.height is None else args.height
-    return find_zeros(height, precision=args.precision)
+    return find_zeros(height)
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +166,13 @@ def cmd_constants(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    zeros = _get_zeros(args) if args.identity == "p0_zeros" else None
-    report = criteria.verify_identity(
-        args.identity,
-        terms=args.terms,
-        zeros=zeros,
-        with_tail_correction=not args.no_tail_correction,
-        precision=args.precision,
-    )
+    if args.identity == "p0_zeros":
+        report = criteria.verify_identity(
+            "p0_zeros", zeros=_get_zeros(args),
+            with_tail_correction=not args.no_tail_correction, precision=args.precision)
+    else:
+        report = criteria.verify_identity(args.identity, terms=args.terms,
+                                          precision=args.precision)
     routes = [_route_dict(label, r, args.precision)
               for label, r in (report.route_a, report.route_b)]
     discrepancy = report.discrepancy.to_decimal_string(8)
@@ -195,7 +197,7 @@ def cmd_zeros_find(args) -> int:
         print(f"{len(table)} zeros up to t={args.height} -> {args.output}")
     else:
         for g in table.ordinates:
-            print(g.to_decimal_string(15))
+            print(mp.nstr(g, 15, strip_zeros=False))
     return EXIT_PASS
 
 
@@ -211,9 +213,10 @@ def cmd_zeros_check(args) -> int:
 
 def cmd_zeros_export(args) -> int:
     table = load_zero_table(args.path)
-    write_zero_table(table, args.output, limit=args.limit)
-    n = args.limit if args.limit is not None else len(table)
-    print(f"wrote {min(n, len(table))} ordinates -> {args.output}")
+    if args.limit is not None:
+        table = table.truncated(args.limit)
+    write_zero_table(table, args.output)
+    print(f"wrote {len(table)} ordinates -> {args.output}")
     return EXIT_PASS
 
 
@@ -254,10 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_constants)
     _add_flags(p, "precision", "terms", "format")
 
-    p = sub.add_parser("verify", help="compare two routes of a named identity")
-    p.add_argument("identity", help="one of: " + ", ".join(criteria.IDENTITY_IDS))
+    vsub = sub.add_parser("verify", help="compare two routes of a named identity") \
+        .add_subparsers(dest="identity", required=True)
+    # the nine series identities read the same flags: one parser under nine
+    # names (argparse stores the name given) costs one parser build, not nine
+    first, *others = (i for i in criteria.IDENTITY_IDS if i != "p0_zeros")
+    p = vsub.add_parser(first, aliases=others, prog="zetasum verify ID")
     p.set_defaults(run=cmd_verify)
-    _add_flags(p, "precision", "terms", "format", "no-tail-correction")
+    _add_flags(p, "precision", "terms", "format")
+    p = vsub.add_parser("p0_zeros")
+    p.set_defaults(run=cmd_verify)
+    _add_flags(p, "precision", "format", "no-tail-correction")
     _add_flags(p.add_mutually_exclusive_group(), "zeros-file", "height")
 
     zsub = sub.add_parser("zeros", help="find, check, or export zero tables") \
@@ -272,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = zsub.add_parser("export", help="copy a zero table, optionally truncated")
     p.add_argument("path", help="input table")
     p.add_argument("--output", required=True, help="output file")
-    p.add_argument("--limit", type=int, help="truncate export to this many zeros")
+    p.add_argument("--limit", type=_positive, help="truncate export to this many zeros")
     p.set_defaults(run=cmd_zeros_export)
 
     p = sub.add_parser("li", help="Keiper-Li coefficients lambda_1..lambda_n")

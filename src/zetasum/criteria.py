@@ -87,8 +87,8 @@ def _accuracy_shift(zeros: ZeroTable) -> mpf:
     """4 delta (g1/(g1 - delta))^3 sum g^-3 over the table: the most that
     the table's claimed accuracy delta moves the paired sum
     2 sum 1/(1/4 + g^2) (see zero_sum_p0)."""
-    delta = zeros.claimed_accuracy.value
-    g1 = zeros.ordinates[0].value
+    delta = zeros.claimed_accuracy
+    g1 = zeros.ordinates[0]
     return 4 * delta * (g1 / (g1 - delta)) ** 3 * zeros.inverse_cube_bound
 
 
@@ -121,7 +121,7 @@ def zero_sum_p0(
         quarter = mpf(1) / 4
         acc = mp.zero
         for g in zeros.ordinates:
-            acc += 1 / (quarter + g.value * g.value)
+            acc += 1 / (quarter + g * g)
         acc *= 2
         moved = _accuracy_shift(zeros)
         T = zeros.max_ordinate()
@@ -215,7 +215,7 @@ def li_lambda(
         acc = 0
         for g in zeros.ordinates:
             # v_1 = x/2 = 2/(4 m^2 2^(2e) + 1) for gamma = m 2^e
-            m, e = g.value.man_exp
+            m, e = g.man_exp
             if e < 0:
                 v1 = (1 << (B + 1 - 2 * e)) // ((m * m << 2) + (1 << -2 * e))
             else:
@@ -246,11 +246,6 @@ def li_lambda(
         )
 
 
-def _x_values(zeros: ZeroTable, K: int):
-    quarter = mpf(1) / 4
-    return [1 / (quarter + g.value * g.value) for g in zeros.ordinates[:K]]
-
-
 def gn_multisum(
     n: int,
     zeros: ZeroTable,
@@ -274,8 +269,9 @@ def gn_multisum(
     if K < 1 or K > len(zeros):
         raise DomainError(f"K={K} outside 1..{len(zeros)}")
     with workdps(precision + _GUARD):
-        xs = _x_values(zeros, K)
-        T = zeros.ordinates[K - 1].value
+        quarter = mpf(1) / 4
+        xs = [1 / (quarter + g * g) for g in zeros.ordinates[:K]]
+        T = zeros.ordinates[K - 1]
         tail1 = _density_tail(T) + _fluctuation_bound(T)
         x_max = xs[0]
         p = [mp.fsum(x ** m for x in xs) for m in range(1, 2 * n)]

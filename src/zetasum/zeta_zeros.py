@@ -1,8 +1,9 @@
 """Critical-line zeta machinery: Hardy Z evaluation, a Gram-point zero
 finder whose zero count is proven by Rosser's rule and Turing's method in
-Brent's explicit form, Anderson-Bjorck regula falsi refinement, external
-zero-table ingestion, and the Riemann-von Mangoldt count check (a
-cross-check on computed tables, the only check on ingested ones).
+Brent's explicit form, Anderson-Bjorck regula falsi refinement, zero tables
+(mpf ordinates and one claimed accuracy) read from and written to text, and
+the Riemann-von Mangoldt count check (a cross-check on computed tables, the
+only check on ingested ones).
 
 The count proof takes the signs of Z as given.  They come from the
 Euler-Maclaurin evaluation at the scan precision, which carries no
@@ -25,6 +26,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 
 from mpmath import mp, mpf, mpc, workdps, workprec
 
@@ -45,11 +47,12 @@ class MissedZeroError(RuntimeError):
     estimate."""
 
 
-class ZeroTableError(ValueError):
-    """Malformed or inconsistent zero-table file."""
+class ZeroTableError(DomainError):
+    """A malformed zero table or zero-table file.  index is the position of
+    the first ordinate out of order, line_number its line in the file."""
 
-    def __init__(self, message: str, line_number: int | None = None):
-        self.line_number = line_number
+    def __init__(self, message: str, line_number: int | None = None, index: int | None = None):
+        self.line_number, self.index = line_number, index
         if line_number is not None:
             message = f"line {line_number}: {message}"
         super().__init__(message)
@@ -57,24 +60,25 @@ class ZeroTableError(ValueError):
 
 @dataclass(frozen=True)
 class ZeroTable:
-    """Ordered positive ordinates of nontrivial zeros."""
+    """Positive ordinates of nontrivial zeros, strictly increasing, as mpf
+    values (of no precision of their own), and one claimed accuracy: each
+    lies within it of its zero.  The constructor checks each once."""
 
-    ordinates: tuple
+    ordinates: tuple  # of mpf
     source: str  # "computed" | "ingested"
-    claimed_accuracy: ExtendedReal
+    claimed_accuracy: mpf
 
     def __post_init__(self):
         if self.source not in ("computed", "ingested"):
             raise DomainError(f"unknown zero-table source {self.source!r}")
-        acc = self.claimed_accuracy.value
-        if acc < 0 or (self.ordinates and acc >= self.ordinates[0].value):
+        prev = 0  # the first comparison checks positivity
+        for i, g in enumerate(self.ordinates):
+            if not g > prev:  # NaN fails too
+                raise ZeroTableError(f"ordinate {g} not above {prev}", index=i)
+            prev = g
+        first = self.ordinates[0] if self.ordinates else mp.inf
+        if not 0 <= self.claimed_accuracy < first:
             raise DomainError("claimed accuracy must be >= 0 and below the first ordinate")
-        prev = mpf(0)
-        for g in self.ordinates:
-            v = g.value
-            if v <= prev:
-                raise DomainError("ordinates must be strictly increasing and positive")
-            prev = v
 
     def __len__(self):
         return len(self.ordinates)
@@ -82,10 +86,10 @@ class ZeroTable:
     def max_ordinate(self) -> mpf:
         if not self.ordinates:
             raise DomainError("empty zero table")
-        return self.ordinates[-1].value
+        return self.ordinates[-1]
 
     def count_below(self, T) -> int:
-        return bisect_right(self.ordinates, mpf(T), key=lambda g: g.value)
+        return bisect_right(self.ordinates, mpf(T))
 
     def truncated(self, limit: int) -> "ZeroTable":
         return ZeroTable(self.ordinates[:limit], self.source, self.claimed_accuracy)
@@ -99,7 +103,7 @@ class ZeroTable:
         relative, are covered by the factor 1 + 2^-50."""
         cubes = []
         for g in self.ordinates:
-            m, e = g.value.man_exp
+            m, e = g.man_exp
             s = max(0, m.bit_length() - 53)
             gf = math.ldexp(m >> s, e + s)
             cubes.append(1 / (gf * gf * gf))
@@ -223,14 +227,14 @@ def _zeta_half_raw(t: mpf) -> mpc:
     the smallest term once they turn around (ArithmeticError if that term
     is still above 1000 eps max(|total|, 1)).
     """
-    # larger N buys faster-converging correction terms; the per-term ratio
-    # is roughly ((2k + |s|) / 2 pi N)^2, and the smallest reachable term is
-    # about exp(-(2 pi N - t)), so N must grow with both t and precision
-    scale = max(3.0, 10 ** (mp.dps / 100))
+    # the per-term ratio of the corrections is roughly ((2k + t)/(2 pi N))^2,
+    # which N >= 3t/(2 pi) keeps below 1/9 at first; the smallest term is
+    # about exp(-(2 pi N - (pi/2) t)), which the third entry puts near
+    # 10^-(1.04 dps)
     tf = float(t)
     N = max(12,
-            int(tf / (2 * math.pi) * scale) + 8,
-            int((mp.dps * 2.4 + tf) / (2 * math.pi)) + 4)
+            int(tf / (2 * math.pi) * 3) + 8,
+            int((mp.dps * 2.4 + math.pi / 2 * tf) / (2 * math.pi)) + 4)
     L = N.bit_length()
     B = mp.prec + L + L.bit_length() + 4
     inv_eps2 = 10 ** (2 * (mp.dps - 2))  # 1/eps^2, eps = 10^-(dps-2)
@@ -251,7 +255,7 @@ def _zeta_half_raw(t: mpf) -> mpc:
 
     total = total_of(bracket)
     prev = None
-    for k in range(1, 200):
+    for k in count(1):
         z = _em_coefficients(k, B)[k - 1] * (1 if k % 2 else -1)
         c = (z * v[0]) >> B, (z * v[1]) >> B
         with_c = bracket[0] + c[0], bracket[1] + c[1]
@@ -418,7 +422,7 @@ def _block_brackets(z, block: list) -> list:
         spent += 1
 
 
-def find_zeros(t_max, precision: int = DEFAULT_PRECISION) -> ZeroTable:
+def find_zeros(t_max) -> ZeroTable:
     """All zeros with ordinate in (0, t_max], found as sign changes of
     Hardy Z at and between the Gram points and refined by Anderson-Bjorck
     regula falsi, with their count proven by Turing's method.
@@ -451,8 +455,7 @@ def find_zeros(t_max, precision: int = DEFAULT_PRECISION) -> ZeroTable:
         raise DomainError(f"t_max={t_max} must be > 0")
     if t_max > SUPPORTED_HEIGHT:
         raise DomainError(f"t_max={t_max} above supported height {SUPPORTED_HEIGHT}")
-    # scanning precision only needs to resolve REFINE_TOL, not the caller's
-    # reporting precision
+    # the scan precision only needs to resolve REFINE_TOL
     scan_dps = max(15, int(-math.log10(REFINE_TOL)) + 8)
     with workdps(scan_dps):
         z = _hardy_z_raw
@@ -486,11 +489,7 @@ def find_zeros(t_max, precision: int = DEFAULT_PRECISION) -> ZeroTable:
                 if (z_lo < 0) == (z_hi < 0):
                     break  # the zero lies above t_max
             ordinates.append(_refine(z, lo, hi, z_lo, z_hi, REFINE_TOL))
-        table = ZeroTable(
-            tuple(ExtendedReal(g, precision) for g in ordinates),
-            "computed",
-            ExtendedReal.of(REFINE_TOL, precision),
-        )
+        table = ZeroTable(tuple(ordinates), "computed", mpf(REFINE_TOL))
         if not zero_count_check(table, t_max):
             raise MissedZeroError(
                 f"zero count mismatch below t={t_max}: found {len(ordinates)}, "
@@ -506,12 +505,12 @@ def load_zero_table(
     path,
     claimed_accuracy: float = 1e-10,
     precision: int = DEFAULT_PRECISION,
-    count_check: bool = True,
 ) -> ZeroTable:
-    """Parse a plain-text zero table: one ascending decimal ordinate per
-    line, '#' comments and blank lines ignored."""
-    ordinates = []
-    prev = mpf(0)
+    """Parse a plain-text zero table at precision + _GUARD digits: one
+    ascending decimal ordinate per line, '#' comments and blank lines
+    ignored.  A ZeroTableError names the line of the first bad ordinate;
+    one is raised too if the count fails zero_count_check."""
+    ordinates, line_numbers = [], []
     with workdps(precision + _GUARD):
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -519,18 +518,15 @@ def load_zero_table(
                 if not text or text.startswith("#"):
                     continue
                 try:
-                    value = mpf(text)
+                    ordinates.append(mpf(text))
                 except Exception:
                     raise ZeroTableError(f"cannot parse ordinate {text!r}", lineno) from None
-                if value <= 0:
-                    raise ZeroTableError(f"ordinate {text} not positive", lineno)
-                if value <= prev:
-                    raise ZeroTableError(
-                        f"ordinate {text} not strictly increasing", lineno)
-                ordinates.append(ExtendedReal(value, precision))
-                prev = value
-    table = ZeroTable(tuple(ordinates), "ingested", ExtendedReal.of(claimed_accuracy, precision))
-    if count_check and ordinates:
+                line_numbers.append(lineno)
+        try:
+            table = ZeroTable(tuple(ordinates), "ingested", mpf(claimed_accuracy))
+        except ZeroTableError as exc:
+            raise ZeroTableError(str(exc), line_numbers[exc.index]) from None
+    if ordinates:
         T = table.max_ordinate() + mpf(1) / 1000
         if not zero_count_check(table, T):
             raise ZeroTableError(
@@ -542,14 +538,10 @@ def load_zero_table(
 TABLE_DIGITS = 15  # significant digits of each ordinate written to a table
 
 
-def write_zero_table(table: ZeroTable, path, limit: int | None = None):
-    """Write the table in the same plain-text format, the first `limit`
-    ordinates only if a limit (>= 1) is given."""
-    if limit is not None and limit < 1:
-        raise DomainError(f"limit must be >= 1, got {limit}")
-    ords = table.ordinates[:limit] if limit is not None else table.ordinates
+def write_zero_table(table: ZeroTable, path):
+    """Write the table in the same plain-text format."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {len(ords)} zeta-zero ordinates ({table.source}), "
-                 f"accuracy {float(table.claimed_accuracy.value):.2e}\n")
-        for g in ords:
-            fh.write(mp.nstr(g.value, TABLE_DIGITS, strip_zeros=False) + "\n")
+        fh.write(f"# {len(table)} zeta-zero ordinates ({table.source}), "
+                 f"accuracy {float(table.claimed_accuracy):.2e}\n")
+        for g in table.ordinates:
+            fh.write(mp.nstr(g, TABLE_DIGITS, strip_zeros=False) + "\n")

@@ -270,13 +270,13 @@ def test_criterion_10_zero_finder(zeros_table, computed_table_100):
     count_ok = len(table) == 29
     with workdps(30):
         tol = mpf("2e-9")  # refine_tol plus slack on the bracket midpoint
-        first_ok = abs(table.ordinates[0].value - mpf(GAMMA_1)) < tol
-        second_ok = abs(table.ordinates[1].value - mpf(GAMMA_2)) < tol
+        first_ok = abs(table.ordinates[0] - mpf(GAMMA_1)) < tol
+        second_ok = abs(table.ordinates[1] - mpf(GAMMA_2)) < tol
     counts_ok = all(zero_count_check(zeros_table, T) for T in range(1, 1001))
     overlap = zeros_table.count_below(100)
     combined_tol = 1e-9 + 1e-12
     overlap_ok = overlap == len(table) and all(
-        abs(a.value - b.value) < combined_tol
+        abs(a - b) < combined_tol
         for a, b in zip(zeros_table.ordinates[:overlap], table.ordinates))
     ok = count_ok and first_ok and second_ok and counts_ok and overlap_ok
     _report(10, ok, f"29 zeros below 100: {count_ok}; first ordinates match: "

@@ -31,7 +31,7 @@ def test_verify_fail_exit_one(capsys):
 def test_verify_unknown_identity_usage_error(capsys):
     code, _, err = run(capsys, "verify", "nope")
     assert code == EXIT_USAGE
-    assert "unknown identity" in err
+    assert "argument identity: invalid choice: 'nope'" in err
 
 
 def test_verify_json_schema(capsys):
@@ -102,9 +102,10 @@ def test_env_overrides(capsys, monkeypatch):
     ("FORMAT", "xml"),
 ])
 def test_bad_env_value_usage_error(capsys, monkeypatch, name, value):
-    # checked like the flag it stands for, before any command runs
+    # checked like the flag it stands for, before any command runs, by an
+    # identity that has the flag
     monkeypatch.setenv("ZETASUM_" + name, value)
-    code, out, err = run(capsys, "verify", "log2")
+    code, out, err = run(capsys, "verify", "p0_zeros" if name == "HEIGHT" else "log2")
     assert code == EXIT_USAGE
     assert out == ""
     assert f"error: argument --{name.lower()}: " in err
@@ -114,7 +115,7 @@ def test_bad_env_value_usage_error(capsys, monkeypatch, name, value):
 def test_bad_switch_env_value_usage_error(capsys, monkeypatch, value):
     # ZETASUM_NO_TAIL_CORRECTION takes 1 or 0, checked like the typed flags
     monkeypatch.setenv("ZETASUM_NO_TAIL_CORRECTION", value)
-    code, out, err = run(capsys, "verify", "log2")
+    code, out, err = run(capsys, "verify", "p0_zeros")
     assert code == EXIT_USAGE
     assert out == ""
     assert "error: argument --no-tail-correction: must be 1 or 0" in err
@@ -208,7 +209,7 @@ def test_zeros_export_nonpositive_limit_usage_error(capsys, tmp_path, limit):
                          "--output", str(exported), "--limit", limit)
     assert code == EXIT_USAGE
     assert out == ""
-    assert err.startswith("error: ")
+    assert "error: argument --limit: must be >= 1" in err
     assert not exported.exists()
 
 
@@ -381,6 +382,10 @@ def test_formats_agree(capsys, argv, flatten):
     ("li", "2", "--terms", "9"),
     ("gn", "1", "--terms", "9"),
     ("gn", "1", "--no-tail-correction"),
+    ("verify", "log2", "--zeros-file", ZEROS_FILE),
+    ("verify", "log2", "--height", "20"),
+    ("verify", "log2", "--no-tail-correction"),
+    ("verify", "p0_zeros", "--terms", "9"),
 ])
 def test_unread_flag_usage_error(capsys, argv):
     # each subcommand takes only the flags its handler reads
@@ -392,6 +397,10 @@ def test_unread_flag_usage_error(capsys, argv):
 
 CHECK = ("zeros", "check", ZEROS_FILE)
 CONSTANTS = ("constants", "--terms", "200")
+LOG2 = ("verify", "log2", "--terms", "200")
+P0 = ("verify", "p0_zeros", "--height", "20")
+FIRST_LINE = {CHECK: "ok: 10000 ordinates", CONSTANTS: "gamma\n",
+              LOG2: "identity: log2\n", P0: "identity: p0_zeros\n"}
 
 
 @pytest.mark.parametrize("argv,name,value", [
@@ -400,13 +409,16 @@ CONSTANTS = ("constants", "--terms", "200")
     (CHECK, "PRECISION", "abc"),
     (CONSTANTS, "NO_TAIL_CORRECTION", "true"), (CONSTANTS, "HEIGHT", "-1"),
     (CONSTANTS, "ZEROS_FILE", "/nonexistent/zeros.txt"),
+    (LOG2, "NO_TAIL_CORRECTION", "true"), (LOG2, "HEIGHT", "-1"),
+    (LOG2, "ZEROS_FILE", "/nonexistent/zeros.txt"),
+    (P0, "TERMS", "0"),
 ])
 def test_env_value_of_unread_flag_ignored(capsys, monkeypatch, argv, name, value):
     # a ZETASUM_ variable applies only where its flag exists
     monkeypatch.setenv("ZETASUM_" + name, value)
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_PASS
-    assert out.startswith("ok: 10000 ordinates" if argv == CHECK else "gamma\n")
+    assert out.startswith(FIRST_LINE[argv])
 
 
 def test_zeros_find_height_from_env(capsys, monkeypatch):

@@ -3,19 +3,19 @@ manage zero tables, emit machine-readable reports.  The routes of
 `constants` and `verify` live in criteria (`criteria.constants` and the
 verifier's table); this module formats what they return.
 
-argparse is the only place inputs are parsed, checked and dispatched: each
-subcommand's parser (zeros has three: find, check and export; verify has
-p0_zeros and one under the name of each series identity) names its handler
-and holds only the flags that handler reads.  The flags can also
-be set through environment variables with the ZETASUM_ prefix (e.g.
-ZETASUM_PRECISION=30), each applying only where its flag exists.  The
-variable's string is the flag's default, and argparse converts it with the
-flag's own checked type, so a bad value is a usage error like a bad flag.
-An explicit flag wins, and the variable is then not checked.
+Each subcommand's parser (zeros has three: find, check and export; verify
+has p0_zeros and one under the name of each series identity) names its
+handler and holds only the flags that handler reads.  The parser reads no
+environment, so it is built once per process, on first use.
 
+One rule fills the flags after parsing: a flag not given takes its
+ZETASUM_ variable (e.g. ZETASUM_PRECISION=30), checked like the flag, or
+else its default.  A variable applies only where its flag exists and
+counts as unset when empty; a bad value is a usage error like a bad flag.
 --zeros-file and --height, the two sources of zeros, exclude each other:
-both flags, or both variables with neither flag, are a usage error, and
-either flag given discards the other's variable unchecked.
+both flags, or both variables with neither flag, are a usage error, and a
+zero-source flag given discards both variables unchecked.  `zeros find`
+needs a height.
 
 Exit codes: 0 on pass, 1 on computational failure, 2 on usage errors.
 """
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -50,20 +51,19 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _env(name: str, default=None):
-    """The ZETASUM_<name> variable's string, or default if unset or empty."""
-    return os.environ.get(ENV_PREFIX + name) or default
-
-
 def _checked(convert, ok, rule: str):
-    """An argparse type: convert the text, then require ok(value).  argparse
-    applies it to a flag's value and to a string default alike."""
+    """A flag's type: convert the text, then require ok(value).  It checks a
+    flag's value when argparse parses it and a ZETASUM_ variable's value
+    when _fill reads it, with the same message."""
     def parse(text: str):
-        value = convert(text)
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
         if not ok(value):
             raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
         return value
-    parse.__name__ = convert.__name__  # argparse: "invalid int value: 'abc'"
     return parse
 
 
@@ -73,38 +73,43 @@ _height = _checked(float, lambda t: t > 0, "must be > 0")  # NaN fails too
 _format = _checked(str, FORMATS.__contains__, "must be one of " + ", ".join(FORMATS))
 _switch = _checked({"1": True, "0": False}.get, lambda on: on is not None, "must be 1 or 0")
 
+# flag -> (checked type, default, help and display); the variable is
+# ZETASUM_ and the flag's name in capitals, with _ for -
+_FLAGS = {
+    "precision": (_precision, DEFAULT_PRECISION,
+                  dict(help=f"working precision in decimal digits (>= {MIN_PRECISION})")),
+    "terms": (_positive, None, dict(help="series term count override")),
+    "zeros-file": (str, None, dict(help="path to a zero-ordinate table")),
+    "height": (_height, None, dict(help="compute zeros up to this ordinate instead of loading")),
+    "format": (_format, "text", dict(metavar="{" + ",".join(FORMATS) + "}")),
+    "no-tail-correction": (_switch, False,
+                           dict(help="skip density-based completion of zero sums")),
+}
+_SOURCES = ("zeros-file", "height")  # the sources of zeros, one at a time
 
-class _ZeroSource(argparse.Action):
-    """Store --zeros-file or --height and drop the other source's default,
-    so that the flag given is the one source of zeros."""
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, "height" if self.dest == "zeros_file" else "zeros_file", None)
-        setattr(namespace, self.dest, values)
-
-
-def _add_flags(p, *names: str, required: tuple = ()):
-    """Add the named flags to the parser or argument group p, each
-    defaulting to its ZETASUM_ variable as it is now.  A flag in required
-    must be given unless its variable is set."""
-    table = {
-        "precision": (_precision, _env("PRECISION", DEFAULT_PRECISION),
-                      dict(help=f"working precision in decimal digits (>= {MIN_PRECISION})")),
-        "terms": (_positive, _env("TERMS"), dict(help="series term count override")),
-        "zeros-file": (None, _env("ZEROS_FILE"),
-                       dict(action=_ZeroSource, help="path to a zero-ordinate table")),
-        "height": (_height, _env("HEIGHT"), dict(
-            action=_ZeroSource, help="compute zeros up to this ordinate instead of loading")),
-        "format": (_format, _env("FORMAT", "text"), dict(metavar="{" + ",".join(FORMATS) + "}")),
-        "no-tail-correction": (_switch, _env("NO_TAIL_CORRECTION", False), dict(
-            action="store_true", help="skip density-based completion of zero sums")),
-    }
-    for name in names:
-        kind, default, extra = table[name]
-        # store_true takes no type argument, but argparse converts a string
-        # default with the action's type all the same
-        p.add_argument("--" + name, default=default, **extra,
-                       required=name in required and default is None).type = kind
+def _fill(args) -> None:
+    """Set each flag of the chosen subcommand that was not given to its
+    ZETASUM_ variable, checked by the flag's type, or else to its default
+    (see the module docstring), and apply the zero-source rule.  A usage
+    error is reported by the subcommand's parser, as a bad flag is."""
+    ns, error = vars(args), args.parser.error
+    source_given = ns.get("zeros_file") is not None or ns.get("height") is not None
+    for name, (kind, default, _) in _FLAGS.items():
+        dest = name.replace("-", "_")
+        if dest not in ns or ns[dest] is not None:
+            continue
+        var = ENV_PREFIX + dest.upper()
+        text = None if source_given and name in _SOURCES else os.environ.get(var)
+        try:
+            ns[dest] = kind(text) if text else default
+        except argparse.ArgumentTypeError as exc:
+            error(f"argument --{name}: {exc}")
+    if ns.get("zeros_file") and ns.get("height") is not None:
+        error(f"{ENV_PREFIX}ZEROS_FILE and {ENV_PREFIX}HEIGHT exclude each other; "
+              "give --zeros-file or --height")
+    if "zeros_file" not in ns and "height" in ns and ns["height"] is None:
+        error("the following arguments are required: --height")  # zeros find
 
 
 def _get_zeros(args) -> ZeroTable:
@@ -207,7 +212,8 @@ def cmd_zeros_check(args) -> int:
     except ZeroTableError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    print(f"ok: {len(table)} ordinates, max {float(table.max_ordinate()):.6f}")
+    top = f", max {float(table.max_ordinate()):.6f}" if len(table) else ""  # may be empty
+    print(f"ok: {len(table)} ordinates{top}")
     return EXIT_PASS
 
 
@@ -246,72 +252,83 @@ def cmd_gn(args) -> int:
 # ---------------------------------------------------------------------------
 # Entry point
 
+def _command(sub, name: str, run: str, *flags: str, **kw) -> argparse.ArgumentParser:
+    """A subcommand parser with the named table flags, the zero sources in
+    a mutually exclusive group.  A flag not given parses as None, for _fill
+    to set; the parser keeps itself in the namespace for _fill's errors.
+    main looks the handler up by the name run when it runs, so that a
+    handler replaced in this module after the build (as a tracer does) is
+    the one run."""
+    p = sub.add_parser(name, **kw)
+    p.set_defaults(run=run, parser=p)
+    sources = p.add_mutually_exclusive_group() if "zeros-file" in flags else p
+    for flag in flags:
+        kind, _, shown = _FLAGS[flag]
+        to = sources if flag in _SOURCES else p
+        if kind is _switch:
+            to.add_argument("--" + flag, action="store_true", default=None, **shown)
+        else:
+            to.add_argument("--" + flag, type=kind, **shown)
+    return p
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use; it
+    reads no environment (main runs _fill after parsing), and callers must
+    not change it."""
     parser = argparse.ArgumentParser(
         prog="zetasum",
         description="High-precision evaluation of gamma - ln(4 pi) + 2 by "
                     "independent routes, with certified tail bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("constants", help="print the core constants, two routes each")
-    p.set_defaults(run=cmd_constants)
-    _add_flags(p, "precision", "terms", "format")
+    _command(sub, "constants", "cmd_constants", "precision", "terms", "format",
+             help="print the core constants, two routes each")
 
     vsub = sub.add_parser("verify", help="compare two routes of a named identity") \
         .add_subparsers(dest="identity", required=True)
     # the nine series identities read the same flags: one parser under nine
     # names (argparse stores the name given) costs one parser build, not nine
     first, *others = (i for i in criteria.IDENTITY_IDS if i != "p0_zeros")
-    p = vsub.add_parser(first, aliases=others, prog="zetasum verify ID")
-    p.set_defaults(run=cmd_verify)
-    _add_flags(p, "precision", "terms", "format")
-    p = vsub.add_parser("p0_zeros")
-    p.set_defaults(run=cmd_verify)
-    _add_flags(p, "precision", "format", "no-tail-correction")
-    _add_flags(p.add_mutually_exclusive_group(), "zeros-file", "height")
+    _command(vsub, first, "cmd_verify", "precision", "terms", "format",
+             aliases=others, prog="zetasum verify ID")
+    _command(vsub, "p0_zeros", "cmd_verify", "precision", "format", "no-tail-correction",
+             "zeros-file", "height")
 
     zsub = sub.add_parser("zeros", help="find, check, or export zero tables") \
         .add_subparsers(dest="subcommand", required=True)
-    p = zsub.add_parser("find", help="compute the zeros up to --height")
+    p = _command(zsub, "find", "cmd_zeros_find", "height",
+                 help="compute the zeros up to --height")
     p.add_argument("--output", help="output file (default: print the ordinates)")
-    p.set_defaults(run=cmd_zeros_find)
-    _add_flags(p, "height", required=("height",))
-    p = zsub.add_parser("check", help="validate a zero table")
+    p = _command(zsub, "check", "cmd_zeros_check", help="validate a zero table")
     p.add_argument("path", help="input table")
-    p.set_defaults(run=cmd_zeros_check)
-    p = zsub.add_parser("export", help="copy a zero table, optionally truncated")
+    p = _command(zsub, "export", "cmd_zeros_export",
+                 help="copy a zero table, optionally truncated")
     p.add_argument("path", help="input table")
     p.add_argument("--output", required=True, help="output file")
     p.add_argument("--limit", type=_positive, help="truncate export to this many zeros")
-    p.set_defaults(run=cmd_zeros_export)
 
-    p = sub.add_parser("li", help="Keiper-Li coefficients lambda_1..lambda_n")
+    p = _command(sub, "li", "cmd_li", "precision", "format", "no-tail-correction",
+                 "zeros-file", "height", help="Keiper-Li coefficients lambda_1..lambda_n")
     p.add_argument("n_max", type=_positive)
-    p.set_defaults(run=cmd_li)
-    _add_flags(p, "precision", "format", "no-tail-correction")
-    _add_flags(p.add_mutually_exclusive_group(), "zeros-file", "height")
 
-    p = sub.add_parser("gn", help="G_n multisum over the first K zeros")
+    p = _command(sub, "gn", "cmd_gn", "precision", "format", "zeros-file", "height",
+                 help="G_n multisum over the first K zeros")
     p.add_argument("n", type=int)
     p.add_argument("--zeros", dest="k", type=int, help="number of zeros K")
-    p.set_defaults(run=cmd_gn)
-    _add_flags(p, "precision", "format")
-    _add_flags(p.add_mutually_exclusive_group(), "zeros-file", "height")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "zeros_file", None) and getattr(args, "height", None) is not None:
-            parser.error(f"{ENV_PREFIX}ZEROS_FILE and {ENV_PREFIX}HEIGHT exclude each other; "
-                         "give --zeros-file or --height")
+        args = build_parser().parse_args(argv)
+        _fill(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.run(args)
+        return globals()[args.run](args)
     except (ValueError, FileNotFoundError) as exc:  # DomainError, ZeroTableError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -60,16 +60,14 @@ class IdentityReport:
     route_b: tuple  # (label, SeriesResult)
     discrepancy: ExtendedReal
     tolerance: ExtendedReal
-    verdict: str  # "pass" | "fail"
-
-    def __post_init__(self):
-        expect = "pass" if self.discrepancy.value <= self.tolerance.value else "fail"
-        if self.verdict != expect:
-            raise DomainError("verdict inconsistent with discrepancy/tolerance")
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "pass"
+        return self.discrepancy.value <= self.tolerance.value
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.passed else "fail"
 
 
 def _density_tail(T: mpf) -> mpf:
@@ -333,69 +331,70 @@ _TARGET = ("gamma - ln(4 pi) + 2",
            _closed("constant", lambda: mp.euler - mp.ln(4 * mp.pi) + 2))
 _P01 = ("p01_integral", lambda N, p: p01_integral(N, precision=p))
 
-# identity id -> (label_a, route_a, label_b, route_b, default N)
+_TERMS = {"terms": 100_000}  # a digit identity's one input, with its default N
+
+# identity id -> (label_a, route_a, label_b, route_b, inputs): route_a takes
+# the inputs the identity reads, in order, then p, each defaulting to the
+# value given (None: required); route_b reads none of them
 _IDENTITIES = {
-    "itog": ("main_series", _digit("main_series"), *_TARGET, 1_000_000),
-    "p01": (*_P01, *_TARGET, 1_000),
-    "p12": ("p12_series", lambda N, p: p12_series(N, precision=p), *_TARGET, 10_000),
+    "addison": ("gamma_addison", _digit("gamma_addison"), "stieltjes(0)", _stieltjes0, _TERMS),
+    "dual_addison": ("log2pi_dual", _digit("log2pi_dual"),
+                     "ln(2/pi)", _closed("constant", lambda: mp.ln(2) - mp.ln(mp.pi)), _TERMS),
+    "itog": ("main_series", _digit("main_series"), *_TARGET, {"terms": 1_000_000}),
+    "log2": ("log2_series", _digit("log2_series"),
+             "3/4 - ln 2", _closed("constant", lambda: mpf(3) / 4 - mp.ln(2)), _TERMS),
+    "p01": (*_P01, *_TARGET, {"terms": 1_000}),
+    "p12": ("p12_series", lambda N, p: p12_series(N, precision=p), *_TARGET, {"terms": 10_000}),
     "pochti": ("combined_pochti", _digit("combined_pochti"),
                "gamma - ln pi + ln 2",
-               _closed("constant", lambda: mp.euler - mp.ln(mp.pi) + mp.ln(2)),
-               100_000),
-    "log2": ("log2_series", _digit("log2_series"),
-             "3/4 - ln 2", _closed("constant", lambda: mpf(3) / 4 - mp.ln(2)),
-             100_000),
-    "addison": ("gamma_addison", _digit("gamma_addison"),
-                "stieltjes(0)", _stieltjes0, 100_000),
-    "vacca_dual": ("log4pi_paired", _digit("log4pi_paired"),
-                   "ln(4/pi)", _closed("constant", lambda: 2 * mp.ln(2) - mp.ln(mp.pi)),
-                   100_000),
-    "dual_addison": ("log2pi_dual", _digit("log2pi_dual"),
-                     "ln(2/pi)", _closed("constant", lambda: mp.ln(2) - mp.ln(mp.pi)),
-                     100_000),
+               _closed("constant", lambda: mp.euler - mp.ln(mp.pi) + mp.ln(2)), _TERMS),
     "pochtipochti": ("pochtipochti_series", _digit("pochtipochti_series"),
                      "gamma - ln pi - 2 ln 2 + 9/4",
                      _closed("constant", lambda: mp.euler - mp.ln(mp.pi) - 2 * mp.ln(2)
-                             + mpf(9) / 4),
-                     100_000),
+                             + mpf(9) / 4), _TERMS),
+    "vacca_dual": ("log4pi_paired", _digit("log4pi_paired"),
+                   "ln(4/pi)", _closed("constant", lambda: 2 * mp.ln(2) - mp.ln(mp.pi)), _TERMS),
+    "p0_zeros": ("zero_sum_p0", lambda zeros, corrected, p: zero_sum_p0(zeros, corrected, p),
+                 *_TARGET, {"zeros": None, "with_tail_correction": True}),
 }
 
-IDENTITY_IDS = tuple(sorted(_IDENTITIES)) + ("p0_zeros",)
+IDENTITY_IDS = tuple(_IDENTITIES)
 
 
 def verify_identity(
     identity_id: str,
     terms: Optional[int] = None,
     zeros: Optional[ZeroTable] = None,
-    with_tail_correction: bool = True,
+    with_tail_correction: Optional[bool] = None,
     precision: int = DEFAULT_PRECISION,
 ) -> IdentityReport:
     """Evaluate both routes of a named identity and compare.
 
+    An identity takes only the inputs it reads: terms for a series
+    identity, zeros (required) and with_tail_correction for p0_zeros.  An
+    input it does not read, or a required one missing, is a DomainError.
     The tolerance is the sum of the two routes' tail bounds plus rounding
     slack; the verdict is pass iff the discrepancy stays within it.
     """
+    if identity_id not in _IDENTITIES:
+        raise DomainError(f"unknown identity {identity_id!r}; "
+                          f"known: {', '.join(IDENTITY_IDS)}")
+    label_a, route_a, label_b, route_b, reads = _IDENTITIES[identity_id]
+    given = {"terms": terms, "zeros": zeros, "with_tail_correction": with_tail_correction}
+    for name, value in given.items():
+        if value is not None and name not in reads:
+            raise DomainError(f"{identity_id} does not read {name}")
+        if value is None and name in reads and reads[name] is None:
+            raise DomainError(f"{identity_id} needs {name}")
+    inputs = [reads[name] if given[name] is None else given[name] for name in reads]
     p = precision
     with workdps(p + _GUARD):
-        if identity_id == "p0_zeros":
-            if zeros is None or len(zeros) == 0:
-                raise DomainError("p0_zeros needs a nonempty zero table")
-            a = ("zero_sum_p0", zero_sum_p0(zeros, with_tail_correction, p))
-            label_b, route_b = _TARGET
-            N = None
-        elif identity_id in _IDENTITIES:
-            label_a, route_a, label_b, route_b, default = _IDENTITIES[identity_id]
-            N = terms if terms is not None else default
-            a = (label_a, route_a(N, p))
-        else:
-            raise DomainError(f"unknown identity {identity_id!r}; "
-                              f"known: {', '.join(IDENTITY_IDS)}")
-        b = (label_b, route_b(N, p))
+        a = (label_a, route_a(*inputs, p))
+        b = (label_b, route_b(None, p))
         discrepancy = abs(a[1].value(p).value - b[1].value(p).value)
         tolerance = a[1].tail_bound.value + b[1].tail_bound.value + _rounding_slack(p)
-        verdict = "pass" if discrepancy <= tolerance else "fail"
         return IdentityReport(identity_id, a, b, ExtendedReal(discrepancy, p),
-                              ExtendedReal(tolerance, p), verdict)
+                              ExtendedReal(tolerance, p))
 
 
 def constants(N: int, p: int) -> dict:

@@ -10,7 +10,7 @@ by its partial fractions sum_t A_t/(2n + t): k = 1 for the paired rows,
 1/(2n(2n+1)) = 1/(2n) - 1/(2n+1), and k = 2 for the cubic ones.  The two
 alternating rows have terms w(floor(n/2)) (-1)^n / n, and each pair
 n = 2m, 2m+1 folds onto the paired term w(m)/(2m(2m+1)).  The per-term
-closures and the block evaluator below both derive from the row.
+kernel and the block evaluator below both derive from the row.
 
 exact_limit is the largest term count whose partial sum is returned
 exactly, as a Fraction.  A sum of more terms is taken in fixed point
@@ -145,7 +145,7 @@ class SeriesResult:
         if isinstance(self.partial_sum, ExtendedReal):
             return self.partial_sum
         p = precision or self.tail_bound.precision
-        return ExtendedReal.of(self.partial_sum, p)
+        return ExtendedReal(self.partial_sum, p)
 
     def enclosure(self) -> Interval:
         v, t = self.value(), self.tail_bound
@@ -165,15 +165,15 @@ TermFn = Callable[[int], Tuple[int, int]]
 
 
 def _tree_sum(term: TermFn, lo: int, hi: int) -> Tuple[int, int]:
-    """Exact sum of term(lo..hi) as an unnormalized (num, den) pair.
+    """Exact sum of term(lo..hi) (0/1 if empty) as an unnormalized pair.
 
     Pairwise merging keeps the running denominator close to the lcm of the
     term denominators, which is dramatically cheaper than left-to-right
     accumulation for 10^5-term sums.
     """
     if hi - lo < 8:
-        num, den = term(lo)
-        for n in range(lo + 1, hi + 1):
+        num, den = 0, 1
+        for n in range(lo, hi + 1):
             p, q = term(n)
             g = gcd(den, q)
             m = q // g
@@ -210,9 +210,9 @@ class _Spec(NamedTuple):
     alternating: bool = False
 
 
-def _terms(spec: _Spec) -> Tuple[TermFn, TermFn]:
-    """spec's term(n), and its kernel: the term in the w/prod(2n + t) form,
-    which for an alternating row is the folded pair at m = n."""
+def _kernel(spec: _Spec) -> TermFn:
+    """spec's term in the w/prod(2n + t) form, which for an alternating row
+    is the folded pair at m = n."""
     c, b, e = spec.weights
     k = len(spec.den) - 1
 
@@ -220,15 +220,7 @@ def _terms(spec: _Spec) -> Tuple[TermFn, TermFn]:
         # perm(2n + k, k + 1) = 2n (2n + 1) ... (2n + k)
         return c * n.bit_count() + b * n.bit_length() + e, perm(2 * n + k, k + 1)
 
-    if not spec.alternating:
-        return kernel, kernel
-
-    def term(n):
-        m = n >> 1
-        w = c * m.bit_count() + b * m.bit_length() + e
-        return (-w if n & 1 else w), n
-
-    return term, kernel
+    return kernel
 
 
 def _from_fixed(acc: int, B: int, floors: int) -> Tuple[mpf, mpf]:
@@ -358,34 +350,34 @@ def _block_sum(spec: _Spec, x: int, j: int, B: int, cache: list) -> int:
 def _sum_series(spec: _Spec, last: int, exact_limit: int, precision: int) -> SeriesResult:
     """Sum term(first..last) + offset, exactly while the term count allows.
 
-    At most exact_limit terms are summed exactly and returned as a
+    An alternating row first folds its pairs n = 2m, 2m+1 onto the kernel
+    at m and takes an even last index alone; both paths then sum the
+    kernel.  At most exact_limit terms are summed exactly and returned as a
     Fraction.  More are summed in fixed point with B fraction bits from
     first on, the offset floored to 2^-B: the O(log N) blocks of _pieces,
-    each by _block_sum, and its runs of single terms, one floor each.  An
-    alternating row folds its pairs n = 2m, 2m+1 onto the kernel at m and
-    takes an even last index alone.  Every floor and block remainder
-    leaves the integer sum a rigorous lower end; the floor count (a block
-    counting len(den) + 2, see the module docstring) and the ulp of the
-    downward conversion to mpf go into the returned tail_bound, so the
-    enclosure covers all rounding and truncation.
+    each by _block_sum, and its runs of single terms, one floor each.
+    Every floor and block remainder leaves the integer sum a rigorous
+    lower end; the floor count (a block counting len(den) + 2, see the
+    module docstring) and the ulp of the downward conversion to mpf go
+    into the returned tail_bound, so the enclosure covers all rounding and
+    truncation.
     """
-    term, kernel = _terms(spec)
-    first = spec.first
+    kernel = _kernel(spec)
     with workdps(precision + _GUARD):
         bound = ExtendedReal(spec.bound(last), precision)
-        n_terms = last - first + 1
-        if n_terms <= exact_limit:
-            num, den = _tree_sum(term, first, last)
-            exact = Fraction(num, den) + spec.offset
-            return SeriesResult(exact, n_terms, bound, spec.name, spec.positive)
-        lo, hi, ends = first, last, []
+        n_terms = last - spec.first + 1
+        lo, hi, ends = spec.first, last, []
         if spec.alternating:
             # the pairs fold from the even first index; an even last index
-            # is left alone
+            # n = 2m is left alone, its term w(m)/n
             if not hi & 1:
-                ends.append(hi)
+                ends.append((kernel(hi >> 1)[0], hi))
                 hi -= 1
             lo, hi = lo >> 1, hi >> 1
+        if n_terms <= exact_limit:
+            exact = Fraction(*_tree_sum(kernel, lo, hi)) + spec.offset
+            exact += sum(Fraction(p, q) for p, q in ends)
+            return SeriesResult(exact, n_terms, bound, spec.name, spec.positive)
         k = len(spec.den) - 1
         # the offset and an end term take one floor each; a block of
         # 2^j >= 2 indices takes k + 3, at most that per index
@@ -394,8 +386,7 @@ def _sum_series(spec: _Spec, last: int, exact_limit: int, precision: int) -> Ser
         acc = (spec.offset.numerator << B) // spec.offset.denominator
         floors = 1 + len(ends)
         moments = []  # _moments' cache, for this call only
-        for n in ends:
-            p, q = term(n)
+        for p, q in ends:
             acc += (p << B) // q
         for x, y, j in _pieces(lo, hi, k, mp.prec):
             if j:

@@ -54,7 +54,9 @@ def _to_mpf(x) -> mpf:
 class ExtendedReal:
     """A result record: an mpf value and the precision in decimal digits
     it was computed at, with relative error below 10^(2-P).  Two records
-    are equal when both value and precision are.
+    are equal when both value and precision are.  A value given as an int,
+    float or Fraction is converted at P + _GUARD digits; an ExtendedReal
+    keeps its value unrounded and takes the precision P asked for.
     """
 
     value: mpf
@@ -66,15 +68,6 @@ class ExtendedReal:
         if not isinstance(self.value, mpf):
             with workdps(self.precision + _GUARD):
                 object.__setattr__(self, "value", _to_mpf(self.value))
-
-    # -- construction -----------------------------------------------------
-
-    @staticmethod
-    def of(x: Number, precision: int = DEFAULT_PRECISION) -> "ExtendedReal":
-        """x as a record at `precision`; an ExtendedReal x keeps its value
-        unrounded and takes the precision asked for."""
-        with workdps(precision + _GUARD):
-            return ExtendedReal(_to_mpf(x), precision)
 
     # -- conversion -------------------------------------------------------
 
@@ -122,7 +115,7 @@ def _gamma_family(name: str, fn, x: Number, precision: int | None) -> ExtendedRe
     """fn(x) for x > 0, at `precision` if given, else at x's own precision."""
     if precision is None:
         precision = x.precision if isinstance(x, ExtendedReal) else DEFAULT_PRECISION
-    x = ExtendedReal.of(x, precision)
+    x = ExtendedReal(x, precision)
     if x.value <= 0:
         raise DomainError(f"{name} requires x > 0")
     with workdps(x.precision + _GUARD):

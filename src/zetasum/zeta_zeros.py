@@ -291,7 +291,7 @@ def _hardy_z_raw(t: mpf) -> mpf:
 
 def hardy_z(t, precision: int = DEFAULT_PRECISION) -> ExtendedReal:
     """The real-valued Hardy Z function; its sign changes locate zeros."""
-    tv = ExtendedReal.of(t, precision)
+    tv = ExtendedReal(t, precision)
     if tv.value <= 0:
         raise DomainError("hardy_z requires t > 0")
     if tv.value > SUPPORTED_HEIGHT:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -6,6 +7,7 @@ import os
 import pytest
 from mpmath import mp, mpf, workdps
 
+from zetasum import cli
 from zetasum.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, build_parser, main
 from tests.conftest import ZEROS_FILE
 
@@ -128,6 +130,7 @@ def test_bad_switch_env_value_usage_error(capsys, monkeypatch, value):
 def test_switch_env_value(monkeypatch, value, argv, off):
     monkeypatch.setenv("ZETASUM_NO_TAIL_CORRECTION", value)
     args = build_parser().parse_args(["verify", "p0_zeros", *argv])
+    cli._fill(args)
     assert args.no_tail_correction is off
 
 
@@ -200,6 +203,15 @@ def test_zeros_find_check_export(capsys, tmp_path):
             if l and not l.startswith("#")]
     assert len(kept) == 2
     assert kept[0].startswith("14.134725")
+
+
+def test_zeros_find_check_export_below_first_zero(capsys, tmp_path):
+    # no zero lies below height 5: the table is empty, and a valid table
+    found, copied = tmp_path / "z5.txt", tmp_path / "copy.txt"
+    assert run(capsys, "zeros", "find", "--height", "5", "--output", str(found))[0] == EXIT_PASS
+    assert run(capsys, "zeros", "export", str(found), "--output", str(copied))[0] == EXIT_PASS
+    for path in (found, copied):
+        assert run(capsys, "zeros", "check", str(path)) == (EXIT_PASS, "ok: 0 ordinates\n", "")
 
 
 @pytest.mark.parametrize("limit", ["0", "-5"])
@@ -455,3 +467,49 @@ def test_li_positive_is_certified(capsys):
     assert not any(row["positive"] for row in rows)
     _, text, _ = run(capsys, "li", "10", "--height", "20")
     assert text.count("[-]") == 10 and "[+]" not in text
+
+
+LOG2_10 = ("verify", "log2", "--terms", "10")
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    # the parser reads no environment, so one build serves every call
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    build_parser.cache_clear()
+    try:
+        assert run(capsys, *LOG2_10)[0] == EXIT_PASS
+        once = len(built)
+        assert run(capsys, *LOG2_10)[0] == EXIT_PASS
+    finally:
+        build_parser.cache_clear()
+    assert once > 0 and len(built) == once
+
+
+def test_env_value_set_after_parser_built(capsys, monkeypatch):
+    # variables are read when main runs, not when the parser was built
+    assert run(capsys, *LOG2_10)[1].startswith("identity: log2\n")
+    monkeypatch.setenv("ZETASUM_FORMAT", "json")
+    code, out, _ = run(capsys, *LOG2_10)
+    assert code == EXIT_PASS
+    assert json.loads(out)["identity"] == "log2"
+
+
+def test_handler_looked_up_when_run(capsys, monkeypatch):
+    # a handler replaced in the module after the parser was built (as a span
+    # tracer does) is the one main runs
+    assert run(capsys, *LOG2_10)[0] == EXIT_PASS
+    real, calls = cli.cmd_verify, []
+
+    def spy(args):
+        calls.append(args.identity)
+        return real(args)
+
+    monkeypatch.setattr(cli, "cmd_verify", spy)
+    assert run(capsys, *LOG2_10)[0] == EXIT_PASS
+    assert calls == ["log2"]

@@ -6,7 +6,6 @@ from mpmath import mp, mpc, mpf, workdps
 from zetasum import criteria, digit_series
 from zetasum.cli import EXIT_PASS, main
 from zetasum.criteria import (
-    IdentityReport,
     gn_multisum,
     li_lambda,
     verify_identity,
@@ -341,12 +340,17 @@ def test_verdict_stable_under_doubling():
         assert verify_identity(identity, terms=2 * terms, precision=30).passed
 
 
-def test_report_verdict_consistency():
-    rep = verify_identity("log2", terms=5000, precision=30)
-    with pytest.raises(DomainError):
-        IdentityReport(rep.identity_id, rep.route_a, rep.route_b,
-                       rep.discrepancy, rep.tolerance,
-                       "fail" if rep.verdict == "pass" else "pass")
+@pytest.mark.parametrize("identity,inputs,unread", [
+    ("log2", dict(terms=100, zeros="table", with_tail_correction=False), "zeros"),
+    ("log2", dict(terms=100, with_tail_correction=True), "with_tail_correction"),
+    ("itog", dict(with_tail_correction=False), "with_tail_correction"),
+    ("p0_zeros", dict(terms=5, zeros="table"), "terms"),
+])
+def test_verify_identity_rejects_unread_input(identity, inputs, unread, zeros_table):
+    # an identity takes only the inputs it reads, never ignoring one given
+    inputs = {k: zeros_table if v == "table" else v for k, v in inputs.items()}
+    with pytest.raises(DomainError, match=f"does not read {unread}"):
+        verify_identity(identity, precision=30, **inputs)
 
 
 # identity -> its digit-series route
@@ -406,7 +410,8 @@ def test_verify_identity_looks_routes_up_by_name(identity, route, monkeypatch, z
         return real(*args, **kwargs)
 
     monkeypatch.setattr(criteria, route, spy)
-    verify_identity(identity, terms=200, zeros=zeros_table, precision=30)
+    inputs = dict(zeros=zeros_table) if identity == "p0_zeros" else dict(terms=200)
+    verify_identity(identity, precision=30, **inputs)
     assert len(calls) == 1
 
 

@@ -81,7 +81,7 @@ def test_fixed_point_continuation_encloses_exact_sum(fn, N, exact_limit):
     assert exact.is_exact_rational() and not cont.is_exact_rational()
     # a point enclosure of the exact partial sum, converted at twice the
     # precision so that its own rounding cannot reach the continuation's ends
-    point = replace(exact, tail_bound=ExtendedReal.of(0, 2 * exact.tail_bound.precision))
+    point = replace(exact, tail_bound=ExtendedReal(0, 2 * exact.tail_bound.precision))
     inner, outer = point.enclosure(), cont.enclosure()
     assert outer.lower.value <= inner.lower.value
     assert inner.upper.value <= outer.upper.value
@@ -172,7 +172,7 @@ def test_enclosure_ends_at_lower_precision(positive):
     # each end is computed once at the lower of the two precisions (plus
     # guard digits) and carries that precision
     third = Fraction(1, 3)
-    r = SeriesResult(ExtendedReal.of(third, 40), 1, ExtendedReal.of(third / 100, 20),
+    r = SeriesResult(ExtendedReal(third, 40), 1, ExtendedReal(third / 100, 20),
                      "mixed", positive_terms=positive)
     enc = r.enclosure()
     assert enc.lower.precision == enc.upper.precision == 20
@@ -185,8 +185,8 @@ def test_enclosure_ends_at_lower_precision(positive):
 def test_series_result_tail_bound_nonnegative():
     from zetasum.numerics import ExtendedReal
     with pytest.raises(DomainError):
-        SeriesResult(ExtendedReal.of(1, 20), 1,
-                     ExtendedReal.of(-1, 20), "bad")
+        SeriesResult(ExtendedReal(1, 20), 1,
+                     ExtendedReal(-1, 20), "bad")
 
 
 # every generated series function with its first index
@@ -243,21 +243,32 @@ def test_no_exact_prefix_above_the_limit(name, first, monkeypatch):
 
 def _limit_cases():
     for name, first in SERIES_FIRST:
-        # both parities of N for the alternating rows
-        for limit in (1000, 1001) if SPECS[name].alternating else (1000,):
+        # both parities of N for the alternating rows, down to N = first,
+        # where no pair is left to fold
+        for limit in (1, 2, 1000, 1001) if SPECS[name].alternating else (1000,):
             yield name, first, limit
+
+
+def _term(spec, n: int) -> Fraction:
+    """The row's term at n from its weights: w(n)/prod_{t<=k} (2n + t), or
+    w(floor(n/2)) (-1)^n / n for an alternating row."""
+    c, b, e = spec.weights
+    m = n >> 1 if spec.alternating else n
+    w = c * m.bit_count() + b * m.bit_length() + e
+    if spec.alternating:
+        return Fraction(-w if n & 1 else w, n)
+    return Fraction(w, prod(2 * n + t for t in range(len(spec.den))))
 
 
 @pytest.mark.parametrize("name,first,limit", list(_limit_cases()))
 def test_exact_limit_boundary(name, first, limit):
     fn = getattr(digit_series, name)
     spec = SPECS[name]
-    term, _ = digit_series._terms(spec)
     # limit terms: the exact sum, against left-to-right Fraction addition
     at = fn(first + limit - 1, exact_limit=limit)
     assert at.is_exact_rational() and at.terms_used == limit
     assert at.partial_sum == \
-        sum(Fraction(*term(n)) for n in range(first, first + limit)) + spec.offset
+        sum(_term(spec, n) for n in range(first, first + limit)) + spec.offset
     # one term more: fixed point, enclosing the exact sum
     N = first + limit
     above = fn(N, exact_limit=limit)
@@ -309,7 +320,7 @@ def test_spec_partial_fractions_match_denominator(name):
     # sum_t A_t/(2n + t) = 1/prod(2n + t), and the kernel's denominator is
     # that product
     spec = SPECS[name]
-    _, kernel = digit_series._terms(spec)
+    kernel = digit_series._kernel(spec)
     for n in (1, 2, 7, 1000, 2 ** 40 + 3):
         shifts = range(len(spec.den))
         assert sum(A / (2 * n + t) for t, A in zip(shifts, spec.den)) == \
@@ -377,7 +388,7 @@ def test_block_sum_brackets_exact_block(name, x, j):
     # the block's value in units of 2^-B is at most its exact sum and less
     # than len(den) + 2 units below it
     spec = SPECS[name]
-    _, kernel = digit_series._terms(spec)
+    kernel = digit_series._kernel(spec)
     exact = sum(Fraction(*kernel(n)) for n in range(x, x + 2 ** j))
     for B in (120, 300, 1100):
         got = digit_series._block_sum(spec, x, j, B, [])

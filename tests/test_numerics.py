@@ -16,18 +16,18 @@ from tests.conftest import QuadratureError, quadrature
 
 
 def test_default_precision():
-    x = ExtendedReal.of(2)
+    x = ExtendedReal(2)
     assert x.precision == DEFAULT_PRECISION == 50
 
 
 def test_precision_floor():
     with pytest.raises(DomainError):
-        ExtendedReal.of(1, precision=10)
+        ExtendedReal(1, precision=10)
 
 
 def test_of_takes_requested_precision():
-    x = ExtendedReal.of(3, 40)
-    y = ExtendedReal.of(x, 20)
+    x = ExtendedReal(3, 40)
+    y = ExtendedReal(x, 20)
     assert y.precision == 20
     assert y.value == x.value
 
@@ -63,8 +63,8 @@ def test_theta_matches_siegeltheta(t):
     lambda x, p: polygamma(2, x, p),
 ], ids=["ln_gamma", "digamma", "polygamma"])
 def test_gamma_family_precision_overrides_argument(call):
-    assert call(ExtendedReal.of(3, 40), 20).precision == 20
-    assert call(ExtendedReal.of(3, 40), None).precision == 40
+    assert call(ExtendedReal(3, 40), 20).precision == 20
+    assert call(ExtendedReal(3, 40), None).precision == 40
 
 
 @pytest.mark.parametrize("x", [0.5, 1.0, 3.0, 10.25, 500.0])
@@ -159,4 +159,4 @@ def test_ln_gamma_recurrence():
 
 def test_interval_invariant():
     with pytest.raises(DomainError):
-        Interval(ExtendedReal.of(2, 20), ExtendedReal.of(1, 20))
+        Interval(ExtendedReal(2, 20), ExtendedReal(1, 20))

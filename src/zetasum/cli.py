@@ -34,6 +34,7 @@ from mpmath import mp
 from .numerics import DEFAULT_PRECISION, MIN_PRECISION
 from .digit_series import SeriesResult
 from .zeta_zeros import (
+    TABLE_DIGITS,
     MissedZeroError,
     ZeroTable,
     ZeroTableError,
@@ -202,7 +203,7 @@ def cmd_zeros_find(args) -> int:
         print(f"{len(table)} zeros up to t={args.height} -> {args.output}")
     else:
         for g in table.ordinates:
-            print(mp.nstr(g, 15, strip_zeros=False))
+            print(mp.nstr(g, TABLE_DIGITS, strip_zeros=False))
     return EXIT_PASS
 
 

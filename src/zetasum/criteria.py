@@ -3,11 +3,14 @@ the routes that `zetasum verify` and `zetasum constants` read.
 
 Zero sums fold conjugate pairs onto positive ordinates: with rho = 1/2 +
 i*gamma on the critical line, rho(1-rho) = 1/4 + gamma^2 is real, so every
-quantity here is real by construction.  Truncated sums can be completed
+quantity here is real by construction.  The paired sum of 1/(rho(1-rho))
+is 2 lambda_1, so zero_sum_p0 doubles li_lambda(1) and takes its value
+from li_lambda's one fixed-point pass.  Truncated sums can be completed
 with a density-based tail correction using the smoothed zero density
 ln(t/2pi)/(2pi); the remainder bound for that correction is heuristic
-(zero-count fluctuations), so tail-corrected results carry a visibly wider
-tolerance than plain series results.
+(zero-count fluctuations): a slack F is counted for each unpaired term
+x = 1/(1/4 + gamma^2), so the paired sum carries 2F, and tail-corrected
+results carry a visibly wider tolerance than plain series results.
 """
 
 from __future__ import annotations
@@ -81,15 +84,6 @@ def _fluctuation_bound(T: mpf) -> mpf:
     return 4 * mp.ln(T) / (T * T)
 
 
-def _accuracy_shift(zeros: ZeroTable) -> mpf:
-    """4 delta (g1/(g1 - delta))^3 sum g^-3 over the table: the most that
-    the table's claimed accuracy delta moves the paired sum
-    2 sum 1/(1/4 + g^2) (see zero_sum_p0)."""
-    delta = zeros.claimed_accuracy
-    g1 = zeros.ordinates[0]
-    return 4 * delta * (g1 / (g1 - delta)) ** 3 * zeros.inverse_cube_bound
-
-
 def zero_sum_p0(
     zeros: ZeroTable,
     with_tail_correction: bool = True,
@@ -99,44 +93,22 @@ def zero_sum_p0(
     sum of 1/(rho(1-rho)) over all nontrivial zeros; converges to
     gamma - ln(4 pi) + 2.
 
-    With the tail correction the omitted zeros above the table height T are
-    replaced by the density integral (ln(T/2pi) + 1)/(pi T) and the tail
-    bound shrinks to the fluctuation slack 4 ln(T)/T^2; without it the
-    bound is the correction plus that slack, and partial sums increase
-    monotonically from below.
-
-    Either way the bound also carries the table's claimed accuracy delta:
-    |d/dg 1/(1/4 + g^2)| = 2g/(1/4 + g^2)^2 < 2/g^3, and both the true
-    ordinate and the mean-value point lie within delta of the listed g, so
-    each pair, counted twice, moves the sum by less than
-    4 delta/(g - delta)^3 <= 4 delta (g1/(g1 - delta))^3 / g^3, g1 the
-    first ordinate.  sum g^-3 is the table's inverse_cube_bound, summed
-    once per table in floats and rounded up.
+    1/(rho(1-rho)) = 1/rho + 1/(1-rho), and 1 - rho is a zero with rho, so
+    the sum is 2 sum 1/rho = 2 lambda_1 term for term (Bombieri and
+    Lagarias, J. Number Theory 77, 1999): this is twice li_lambda(1)'s value
+    and bound, tail correction and table accuracy included.  Without the
+    correction the partial sums increase monotonically from below.
     """
     if len(zeros) == 0:
         raise DomainError("zero_sum_p0 requires a nonempty zero table")
-    with workdps(precision + _GUARD):
-        quarter = mpf(1) / 4
-        acc = mp.zero
-        for g in zeros.ordinates:
-            acc += 1 / (quarter + g * g)
-        acc *= 2
-        moved = _accuracy_shift(zeros)
-        T = zeros.max_ordinate()
-        fluct = _fluctuation_bound(T)
-        if with_tail_correction:
-            acc += 2 * _density_tail(T)
-            bound = fluct
-        else:
-            bound = 2 * _density_tail(T) + fluct
-        bound += moved + _rounding_slack(precision)
-        return SeriesResult(
-            ExtendedReal(acc, precision),
-            len(zeros),
-            ExtendedReal(bound, precision),
-            "zero_sum_p0",
-            positive_terms=not with_tail_correction,
-        )
+    lam = li_lambda(1, zeros, with_tail_correction, precision)
+    return SeriesResult(
+        ExtendedReal(mp.ldexp(lam.value().value, 1), precision),
+        len(zeros),
+        ExtendedReal(mp.ldexp(lam.tail_bound.value, 1), precision),
+        "zero_sum_p0",
+        positive_terms=not with_tail_correction,
+    )
 
 
 def li_lambda(
@@ -193,9 +165,10 @@ def li_lambda(
 
     The true ordinate and the mean-value point lie within the claimed
     accuracy delta of the listed g, so the sum moves by less than
-    2 n^2 delta sum (g - delta)^-3 <= n^2/2 times zero_sum_p0's shift
-    4 delta (g1/(g1 - delta))^3 sum g^-3, which goes into the bound, with
-    sum g^-3 the table's inverse_cube_bound, shared with zero_sum_p0.
+    2 n^2 delta sum (g - delta)^-3 <= 2 n^2 delta (g1/(g1 - delta))^3 sum g^-3,
+    g1 the first ordinate, which goes into the bound; sum g^-3 is the
+    table's inverse_cube_bound, summed once per table in floats and
+    rounded up.
     """
     if n < 1:
         raise DomainError("li_lambda requires n >= 1")
@@ -227,7 +200,8 @@ def li_lambda(
                     a, b = 4 * a - 2 * (a * a >> B), mixed
             acc += a
         value, rounding = _from_fixed(2 * acc, B, floors)
-        moved = mpf(n2) / 2 * _accuracy_shift(zeros)
+        delta, g1 = zeros.claimed_accuracy, zeros.ordinates[0]
+        moved = 2 * n2 * delta * (g1 / (g1 - delta)) ** 3 * zeros.inverse_cube_bound
         T = zeros.max_ordinate()
         D, fluct = _density_tail(T), _fluctuation_bound(T)
         if with_tail_correction:
@@ -260,7 +234,8 @@ def gn_multisum(
     power sums p_m = sum_j x_j^m, m = 1..2n-1: n = 1 gives p1, exactly half
     of the uncorrected zero_sum_p0, and n = 2 gives 2(p1 p3 - p2^2).  Tail
     bounds come from the density tail of sum x_j scaled by crude sup bounds
-    on the remaining factors.
+    on the remaining factors.  The bound omits the table's claimed accuracy
+    and rests on the heuristic fluctuation slack F, so it is not certified.
     """
     if n not in (1, 2, 3):
         raise DomainError("gn_multisum supports n in {1, 2, 3}")

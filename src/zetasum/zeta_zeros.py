@@ -23,8 +23,10 @@ sums can use.  Reports built on these tables inherit that assumption.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Context, Decimal
 from functools import cached_property
 from itertools import count
 
@@ -501,20 +503,29 @@ def find_zeros(t_max) -> ZeroTable:
 # Ingestion / export
 
 
+# write_zero_table's first line; its group is the table's accuracy
+_HEADER = (r"# \d+ zeta-zero ordinates \((?:computed|ingested)\), "
+           r"accuracy (\d\.\d\de[+-]\d+)")
+
+
 def load_zero_table(
     path,
-    claimed_accuracy: float = 1e-10,
+    claimed_accuracy: float | None = None,
     precision: int = DEFAULT_PRECISION,
 ) -> ZeroTable:
     """Parse a plain-text zero table at precision + _GUARD digits: one
     ascending decimal ordinate per line, '#' comments and blank lines
-    ignored.  A ZeroTableError names the line of the first bad ordinate;
-    one is raised too if the count fails zero_count_check."""
-    ordinates, line_numbers = [], []
+    ignored.  The claimed accuracy, unless given, is the one stated by a
+    first line in write_zero_table's form, else 1e-10.  A ZeroTableError
+    names the line of the first bad ordinate; one is raised too if the
+    count fails zero_count_check."""
+    ordinates, line_numbers, header = [], [], None
     with workdps(precision + _GUARD):
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 text = line.strip()
+                if lineno == 1:
+                    header = re.fullmatch(_HEADER, text)
                 if not text or text.startswith("#"):
                     continue
                 try:
@@ -522,6 +533,8 @@ def load_zero_table(
                 except Exception:
                     raise ZeroTableError(f"cannot parse ordinate {text!r}", lineno) from None
                 line_numbers.append(lineno)
+        if claimed_accuracy is None:
+            claimed_accuracy = header.group(1) if header else 1e-10
         try:
             table = ZeroTable(tuple(ordinates), "ingested", mpf(claimed_accuracy))
         except ZeroTableError as exc:
@@ -539,9 +552,15 @@ TABLE_DIGITS = 15  # significant digits of each ordinate written to a table
 
 
 def write_zero_table(table: ZeroTable, path):
-    """Write the table in the same plain-text format."""
+    """Write the table in the same plain-text format.  The first line
+    states its accuracy: the claimed one plus the rounding of the rows,
+    half a unit in the last digit of the top ordinate, rounded up."""
+    up = Context(prec=3, rounding=ROUND_CEILING)
+    rows = (Decimal(5).scaleb(len(str(int(table.max_ordinate()))) - TABLE_DIGITS - 1)
+            if table.ordinates else 0)
+    accuracy = up.add(Decimal(math.nextafter(float(table.claimed_accuracy), math.inf)), rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {len(table)} zeta-zero ordinates ({table.source}), "
-                 f"accuracy {float(table.claimed_accuracy):.2e}\n")
+                 f"accuracy {float(accuracy):.2e}\n")
         for g in table.ordinates:
             fh.write(mp.nstr(g, TABLE_DIGITS, strip_zeros=False) + "\n")

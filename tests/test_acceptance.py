@@ -68,7 +68,7 @@ def test_criterion_01_main_identity():
 def test_criterion_02_four_route_agreement():
     # Four independent routes to gamma - ln(4 pi) + 2. Two near choices are
     # excluded on purpose: pochtipochti_series equals main_series + 1/4 term
-    # for term, so it is not independent; zero_sum_p0 promises only ~4e-7
+    # for term, so it is not independent; zero_sum_p0 promises only ~7.5e-7
     # (partly heuristic), wider than 1e-8, and criterion 03 covers it.
     shift = -mp.ln(4 * mp.pi) + 2
     results = {

@@ -111,12 +111,25 @@ def test_li_lambda_single_zero():
         assert abs(r.value().value - mpf(LI1_SINGLE)) < mpf(10) ** -18
 
 
-def test_li_lambda_one_is_half_p0(zeros_table):
+def test_zero_sum_matches_fsum_oracle(zeros_table):
+    # 2 sum 1/(1/4 + g^2) over the first 2,000 rows, by mp.fsum at 80 digits
     sub = zeros_table.truncated(2000)
-    a = li_lambda(1, sub, with_tail_correction=False).value().value
-    b = zero_sum_p0(sub, with_tail_correction=False).value().value
-    with workdps(50):
-        assert abs(a - b / 2) < mpf(10) ** -40
+    r = zero_sum_p0(sub, with_tail_correction=False)
+    with workdps(80):
+        oracle = 2 * mp.fsum(1 / (mpf(1) / 4 + g * g) for g in sub.ordinates)
+        assert abs(r.value().value - oracle) < mpf(10) ** -45
+
+
+def test_zero_sum_is_twice_li_lambda_one(zeros_table):
+    # sum 1/(rho(1-rho)) = 2 lambda_1 term for term: value and bound double
+    for table in (zeros_table, zeros_table.truncated(100)):
+        for corrected in (True, False):
+            p0, lam = zero_sum_p0(table, corrected), li_lambda(1, table, corrected)
+            with workdps(200):
+                assert p0.value().value == 2 * lam.value().value
+                assert p0.tail_bound.value == 2 * lam.tail_bound.value
+            assert (p0.terms_used, p0.series_id, p0.positive_terms) == \
+                (len(table), "zero_sum_p0", not corrected)
 
 
 def test_li_lambda_pairing_reality():

@@ -5,6 +5,7 @@ from mpmath import mp, mpc, mpf, workdps, workprec
 
 from zetasum import zeta_zeros
 from zetasum.numerics import DEFAULT_PRECISION, DomainError, _GUARD
+from tests.conftest import ZEROS_FILE
 from zetasum.zeta_zeros import (
     REFINE_MAX_EVALS,
     SUPPORTED_HEIGHT,
@@ -309,11 +310,28 @@ def test_count_below_matches_linear_count(zeros_table):
 def test_round_trip(tmp_path, computed_table_100):
     path = tmp_path / "zeros.txt"
     write_zero_table(computed_table_100, path)
-    loaded = load_zero_table(path, claimed_accuracy=1e-9)
+    loaded = load_zero_table(path)
+    assert loaded.claimed_accuracy >= computed_table_100.claimed_accuracy
     assert loaded.source == "ingested"
     assert len(loaded) == len(computed_table_100)
     for a, b in zip(loaded.ordinates, computed_table_100.ordinates):
         assert abs(a - b) < 1e-13
+
+
+def test_export_round_trip_keeps_accuracy(tmp_path, computed_table_100):
+    # the header states the table's accuracy plus its rows' rounding, and a
+    # load takes it from there, so writing and exporting never lose any; an
+    # explicit accuracy wins, and the shipped table's prose header is no
+    # such line
+    found, exported = tmp_path / "found.txt", tmp_path / "exported.txt"
+    write_zero_table(computed_table_100, found)
+    write_zero_table(load_zero_table(found), exported)
+    with workdps(30):
+        rounded = computed_table_100.claimed_accuracy + mpf("5e-14")  # rows near 98.8
+    assert rounded <= load_zero_table(found).claimed_accuracy \
+        <= load_zero_table(exported).claimed_accuracy
+    assert load_zero_table(exported, claimed_accuracy=1e-12).claimed_accuracy == mpf(1e-12)
+    assert load_zero_table(ZEROS_FILE).claimed_accuracy == mpf(1e-10)
 
 
 def test_export_limit(tmp_path, computed_table_100):

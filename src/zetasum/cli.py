@@ -230,8 +230,8 @@ def cmd_zeros_export(args) -> int:
 def cmd_li(args) -> int:
     zeros = _get_zeros(args)
     rows, lines = [], []
-    for n in range(1, args.n_max + 1):
-        r = criteria.li_lambda(n, zeros, not args.no_tail_correction, args.precision)
+    lams = criteria.li_lambda(args.n_max, zeros, not args.no_tail_correction, args.precision)
+    for n, r in enumerate(lams, start=1):
         row = {"n": n, **_sign_dict(r, args.precision)}
         rows.append(row)
         lines.append(f"lambda_{n} = {row['value']}  [{'+' if row['positive'] else '-'}]  "

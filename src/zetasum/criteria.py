@@ -101,7 +101,7 @@ def zero_sum_p0(
     """
     if len(zeros) == 0:
         raise DomainError("zero_sum_p0 requires a nonempty zero table")
-    lam = li_lambda(1, zeros, with_tail_correction, precision)
+    (lam,) = li_lambda(1, zeros, with_tail_correction, precision)
     return SeriesResult(
         ExtendedReal(mp.ldexp(lam.value().value, 1), precision),
         len(zeros),
@@ -116,56 +116,64 @@ def li_lambda(
     zeros: ZeroTable,
     with_tail_correction: bool = True,
     precision: int = DEFAULT_PRECISION,
-) -> SeriesResult:
-    """Keiper-Li coefficient lambda_n = sum over zeros of 1 - (1-1/rho)^n,
-    folded over conjugate pairs as 2 Re(1 - (1 - 1/rho)^n).
+) -> tuple:
+    """The Keiper-Li coefficients (lambda_1, ..., lambda_n), one SeriesResult
+    each, from one pass over the zeros.  lambda_k = sum over zeros of
+    1 - (1-1/rho)^k, folded over conjugate pairs as 2 Re(1 - (1 - 1/rho)^k).
 
     On the critical line 1 - 1/rho = e^{2it} with t = atan(1/(2 gamma)), so
-    the paired term is 2 v_n with v_n = 1 - cos(2nt) = 2 sin^2(nt).  With
-    x = 1/(1/4 + gamma^2), v_1 = x/2 and 0 <= v_n <= n^2 x/2, since
-    |sin nt| <= n |sin t|: for large gamma the term behaves like n^2 x.
+    the paired term is 2 v_k with v_k = 1 - cos(2kt) = 2 sin^2(kt).  With
+    x = 1/(1/4 + gamma^2), v_1 = x/2 and 0 <= v_k <= k^2 x/2, since
+    |sin kt| <= k |sin t|: for large gamma the term behaves like k^2 x.
 
-    Each v_n is computed in fixed point with B fraction bits: one integer
-    division gives v_1 from the ordinate's exact mantissa and exponent, and
-    a Lucas ladder over the bits of n applies the Chebyshev rules
-    v_{2k} = 4 v_k - 2 v_k^2 and
-    v_{2k+1} = 2(v_k + v_{k+1} - v_k v_{k+1}) - v_1,
-    flooring every product: O(log n) integer operations per zero, with no
-    complex powers and no cancellation.
+    Each v_k is computed in fixed point with B fraction bits, B taken for
+    the largest index n: one integer division gives v_1 from the
+    ordinate's exact mantissa and exponent, and the Chebyshev recurrence
+    cos(2(k+1)t) = 2 cos(2t) cos(2kt) - cos(2(k-1)t), written for v,
 
-    Rounding: v_1 errs by less than one unit of 2^-B and each step's floor
-    by less than two.  The rules' partial derivatives are 2 cos(2kt), so a
-    level takes the pair's error E to at most 4E + 3.  Over the
-    L = bit_length(n) levels from (v_0, v_1) = (0, v_1) the error stays
-    below 2 * 4^L <= 8 n^2 units, n^2 being also the Lipschitz factor
-    |dv_n/dv_1| of the whole ladder.  The paired sum over K zeros thus errs
-    by less than 16 n^2 K units; c = _LI_ROUNDING = 32 doubles that to cover
-    rounded cosines exceeding 1.  B = working bits + (c n^2 K).bit_length()
-    + 8, and c n^2 K units plus one ulp of the conversion go into the tail
-    bound.
+        v_{k+1} = 2(v_1 + v_k - v_1 v_k) - v_{k-1},   v_0 = 0,
 
-    Tail: every omitted term lies in [0, n^2 x].  With D the density
+    gives the rest with one floored product each: O(n) integer operations
+    per zero, with no complex powers and no cancellation.
+
+    Rounding, in units of 2^-B: v_1 errs by e_1, with |e_1| < 1, and step
+    k's floor adds less than 2.  With c_k = 1 - v_k = cos(2kt), the error
+    obeys the recurrence itself,
+
+        e_{k+1} = 2 c_1 e_k - e_{k-1} + s_k,   s_k = 2 e_1 (c_k - e_k 2^-B) + floor,
+
+    so |s_k| < 4 + 2 |e_k| 2^-B.  A source at step j reaches v_k as
+    U_{k-1-j}(c_1) s_j, and e_1 as U_{k-1}(c_1) e_1, where the Chebyshev
+    polynomials of the second kind obey |U_m| <= m + 1 on [-1, 1]; hence
+    |e_k| < k + 4 (1 + ... + (k-1)) + O(k^4 2^-B) = 2 k^2 - k + O(k^4 2^-B)
+    < 2 k^2.  The paired sum over K zeros errs by less than 4 k^2 K units,
+    well inside the c k^2 K units, c = _LI_ROUNDING = 32, that lambda_k's
+    bound carries with one ulp of the conversion.
+    B = working bits + (c n^2 K).bit_length() + 8 keeps every k's width
+    below 2^-(working bits + 8).
+
+    Tail: every omitted term lies in [0, k^2 x].  With D the density
     integral of x above the table height T and F the heuristic fluctuation
-    slack, the uncorrected bound is n^2 (D + F).  The correction adds
-    n^2 D, with remainder bound n^2 F + n^2(n^2 - 1)/12 (D + F)/(1/4 + T^2),
+    slack, the uncorrected bound is k^2 (D + F).  The correction adds
+    k^2 D, with remainder bound k^2 F + k^2(k^2 - 1)/12 (D + F)/(1/4 + T^2),
     which rests on
 
-        4 sin^2(nt) >= n^2 x - n^2(n^2 - 1) x^2 / 12   for every t.
+        4 sin^2(kt) >= k^2 x - k^2(k^2 - 1) x^2 / 12   for every t.
 
-    It is an equality at n = 1, 2.  Where x <= 56/(n^2 - 9) (everywhere for
-    n <= 3) it follows from Taylor's theorem for T_n at 1 with V. Markov's
-    bound |T_n''''| <= T_n''''(1) on [-1, 1]; where x > 12/(n^2 - 1) its
+    It is an equality at k = 1, 2.  Where x <= 56/(k^2 - 9) (everywhere for
+    k <= 3) it follows from Taylor's theorem for T_k at 1 with V. Markov's
+    bound |T_k''''| <= T_k''''(1) on [-1, 1]; where x > 12/(k^2 - 1) its
     right side is negative.
 
     Table accuracy: t = atan(1/(2 gamma)) has dt/dgamma = -x/2, and
-    sin 2t = gamma x, so with |sin 2nt| <= n |sin 2t|
+    sin 2t = gamma x, so with |sin 2kt| <= k |sin 2t|
 
-        |d/dgamma 4 sin^2(nt)| = 2n x |sin 2nt| <= 2 n^2 gamma x^2
-                               = n^2 |dx/dgamma| < 2 n^2 / gamma^3.
+        |d/dgamma 4 sin^2(kt)| = 2k x |sin 2kt| <= 2 k^2 gamma x^2
+                               = k^2 |dx/dgamma| < 2 k^2 / gamma^3.
 
     The true ordinate and the mean-value point lie within the claimed
     accuracy delta of the listed g, so the sum moves by less than
-    2 n^2 delta sum (g - delta)^-3 <= 2 n^2 delta (g1/(g1 - delta))^3 sum g^-3,
+    2 k^2 delta sum (g - delta)^-3 <= 2 k^2 delta (g1/(g1 - delta))^3 sum g^-3,
     g1 the first ordinate, which goes into the bound; sum g^-3 is the
     table's inverse_cube_bound, summed once per table in floats and
     rounded up.
@@ -179,11 +187,9 @@ def li_lambda(
     if len(zeros) == 0:
         raise DomainError("li_lambda requires a nonempty zero table")
     with workdps(precision + _GUARD):
-        n2 = n * n
-        floors = _LI_ROUNDING * n2 * len(zeros)
-        B = mp.prec + floors.bit_length() + _FIXED_GUARD_BITS
-        ladder = [bit == "1" for bit in bin(n)[3:]]
-        acc = 0
+        K = len(zeros)
+        B = mp.prec + (_LI_ROUNDING * n * n * K).bit_length() + _FIXED_GUARD_BITS
+        sums = [0] * n  # sums[k - 1]: v_k summed over the zeros
         for g in zeros.ordinates:
             # v_1 = x/2 = 2/(4 m^2 2^(2e) + 1) for gamma = m 2^e
             m, e = g.man_exp
@@ -191,31 +197,33 @@ def li_lambda(
                 v1 = (1 << (B + 1 - 2 * e)) // ((m * m << 2) + (1 << -2 * e))
             else:
                 v1 = (1 << (B + 1)) // ((m * m << (2 + 2 * e)) + 1)
-            a, b = v1, 4 * v1 - 2 * (v1 * v1 >> B)  # (v_k, v_{k+1}) at k = 1
-            for odd in ladder:
-                mixed = 2 * (a + b - (a * b >> B)) - v1
-                if odd:
-                    a, b = mixed, 4 * b - 2 * (b * b >> B)
-                else:
-                    a, b = 4 * a - 2 * (a * a >> B), mixed
-            acc += a
-        value, rounding = _from_fixed(2 * acc, B, floors)
+            sums[0] += v1
+            prev, v = 0, v1
+            for k in range(1, n):
+                prev, v = v, ((v1 + v - (v1 * v >> B)) << 1) - prev
+                sums[k] += v
         delta, g1 = zeros.claimed_accuracy, zeros.ordinates[0]
-        moved = 2 * n2 * delta * (g1 / (g1 - delta)) ** 3 * zeros.inverse_cube_bound
+        widen = (g1 / (g1 - delta)) ** 3
         T = zeros.max_ordinate()
         D, fluct = _density_tail(T), _fluctuation_bound(T)
-        if with_tail_correction:
-            value += n2 * D
-            bound = n2 * fluct + mpf(n2 * (n2 - 1)) / 12 * (D + fluct) / (mpf(1) / 4 + T * T)
-        else:
-            bound = n2 * (D + fluct)
-        bound += moved + rounding + _rounding_slack(precision)
-        return SeriesResult(
-            ExtendedReal(value, precision),
-            len(zeros),
-            ExtendedReal(bound, precision),
-            f"li_lambda[{n}]",
-        )
+        results = []
+        for k, acc in enumerate(sums, start=1):
+            k2 = k * k
+            value, rounding = _from_fixed(2 * acc, B, _LI_ROUNDING * k2 * K)
+            if with_tail_correction:
+                value += k2 * D
+                bound = k2 * fluct + mpf(k2 * (k2 - 1)) / 12 * (D + fluct) / (mpf(1) / 4 + T * T)
+            else:
+                bound = k2 * (D + fluct)
+            bound += 2 * k2 * delta * widen * zeros.inverse_cube_bound + rounding \
+                + _rounding_slack(precision)
+            results.append(SeriesResult(
+                ExtendedReal(value, precision),
+                K,
+                ExtendedReal(bound, precision),
+                f"li_lambda[{k}]",
+            ))
+        return tuple(results)
 
 
 def gn_multisum(

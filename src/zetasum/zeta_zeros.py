@@ -31,6 +31,7 @@ from functools import cached_property
 from itertools import count
 
 from mpmath import mp, mpf, mpc, workdps, workprec
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .numerics import (
     DEFAULT_PRECISION,
@@ -507,6 +508,30 @@ def find_zeros(t_max) -> ZeroTable:
 _HEADER = (r"# \d+ zeta-zero ordinates \((?:computed|ingested)\), "
            r"accuracy (\d\.\d\de[+-]\d+)")
 
+# a row load_zero_table parses exactly in integers: its integer and fraction digits
+_DECIMAL_ROW = r"([0-9]+)\.([0-9]+)"
+
+
+def _parse_ordinate(text: str) -> mpf:
+    """text as an mpf rounded to nearest at the working precision.  A row
+    of ASCII digits with a point, m/10^k with k fraction digits, is divided
+    in integers: q = floor(m 2^s / 10^k) with at least prec + 2 bits, its
+    last bit set when the division leaves a remainder (a sticky bit, so no
+    inexact quotient reads as a tie), then rounded once.  That is bit for
+    bit what mpf(text) gives up to 400 fraction digits; past them mpf(text)
+    rounds twice, this once.  Any other text goes to mpf(text)."""
+    row = re.fullmatch(_DECIMAL_ROW, text)
+    if row is None:
+        return mpf(text)
+    whole, frac = row.groups()
+    m, den = int(whole + frac), 10 ** len(frac)
+    prec = mp.prec
+    s = max(0, prec + 3 + den.bit_length() - m.bit_length())
+    q, r = divmod(m << s, den)
+    if r:
+        q, s = q << 1 | 1, s + 1
+    return mp.make_mpf(from_man_exp(q, -s, prec, round_nearest))
+
 
 def load_zero_table(
     path,
@@ -515,10 +540,12 @@ def load_zero_table(
 ) -> ZeroTable:
     """Parse a plain-text zero table at precision + _GUARD digits: one
     ascending decimal ordinate per line, '#' comments and blank lines
-    ignored.  The claimed accuracy, unless given, is the one stated by a
-    first line in write_zero_table's form, else 1e-10.  A ZeroTableError
-    names the line of the first bad ordinate; one is raised too if the
-    count fails zero_count_check."""
+    ignored.  Each row is rounded to nearest at that precision, a row of
+    digits and a point by exact integer division (_parse_ordinate), as
+    mpf(row) rounds it.  The claimed accuracy, unless given, is the
+    one stated by a first line in write_zero_table's form, else 1e-10.  A
+    ZeroTableError names the line of the first bad ordinate; one is raised
+    too if the count fails zero_count_check."""
     ordinates, line_numbers, header = [], [], None
     with workdps(precision + _GUARD):
         with open(path, "r", encoding="utf-8") as fh:
@@ -529,7 +556,7 @@ def load_zero_table(
                 if not text or text.startswith("#"):
                     continue
                 try:
-                    ordinates.append(mpf(text))
+                    ordinates.append(_parse_ordinate(text))
                 except Exception:
                     raise ZeroTableError(f"cannot parse ordinate {text!r}", lineno) from None
                 line_numbers.append(lineno)
@@ -551,16 +578,37 @@ def load_zero_table(
 TABLE_DIGITS = 15  # significant digits of each ordinate written to a table
 
 
+def _reads_back(texts, values) -> bool:
+    """Whether each text parses as its mpf value at the precision of the
+    longest mantissa among the values (at least 53 bits): the precision a
+    table loaded from these rows, or an accuracy read from a header, was
+    read at.  A value read from its text at P bits has a mantissa of at
+    most P bits and lies within half an ulp at P bits of it, so it reads
+    back at the longest mantissa's precision too."""
+    prec = max([53] + [x.man_exp[0].bit_length() for x in values])
+    with workprec(prec):
+        return all(_parse_ordinate(text) == x for text, x in zip(texts, values))
+
+
 def write_zero_table(table: ZeroTable, path):
     """Write the table in the same plain-text format.  The first line
-    states its accuracy: the claimed one plus the rounding of the rows,
-    half a unit in the last digit of the top ordinate, rounded up."""
-    up = Context(prec=3, rounding=ROUND_CEILING)
-    rows = (Decimal(5).scaleb(len(str(int(table.max_ordinate()))) - TABLE_DIGITS - 1)
-            if table.ordinates else 0)
-    accuracy = up.add(Decimal(math.nextafter(float(table.claimed_accuracy), math.inf)), rows)
+    states its accuracy in three digits: the claimed one, plus the rounding
+    of the rows, half a unit in the last digit of the top ordinate, unless
+    every row reads back as its ordinate (as the rows of a table loaded
+    from TABLE_DIGITS-digit rows do, which are written back unchanged);
+    the accuracy's nearest three digits if they read back as it (as a
+    loaded header's do), else rounded up.  So an exported table's export
+    is byte-identical to it."""
+    rows = [mp.nstr(g, TABLE_DIGITS, strip_zeros=False) for g in table.ordinates]
+    accuracy = table.claimed_accuracy
+    stated = f"{float(accuracy):.2e}"
+    rounding = 0
+    if not _reads_back(rows, table.ordinates):
+        rounding = Decimal(5).scaleb(len(str(int(table.max_ordinate()))) - TABLE_DIGITS - 1)
+    if rounding or not _reads_back([stated], [accuracy]):
+        up = Context(prec=3, rounding=ROUND_CEILING)
+        stated = f"{float(up.add(Decimal(math.nextafter(float(accuracy), math.inf)), rounding)):.2e}"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {len(table)} zeta-zero ordinates ({table.source}), "
-                 f"accuracy {float(accuracy):.2e}\n")
-        for g in table.ordinates:
-            fh.write(mp.nstr(g, TABLE_DIGITS, strip_zeros=False) + "\n")
+        fh.write(f"# {len(table)} zeta-zero ordinates ({table.source}), accuracy {stated}\n")
+        for row in rows:
+            fh.write(row + "\n")

@@ -181,12 +181,11 @@ def test_criterion_06_constants():
 
 
 def test_criterion_07_li_coefficients(zeros_table):
-    lam1 = li_lambda(1, zeros_table, with_tail_correction=True).value().value
+    lam1 = li_lambda(1, zeros_table, with_tail_correction=True)[0].value().value
     half_target = target_constant().value / 2
     err = abs(lam1 - half_target)
-    positives = all(
-        li_lambda(n, zeros_table, precision=30).value().value > 0
-        for n in range(1, 11))
+    positives = all(lam.value().value > 0
+                    for lam in li_lambda(10, zeros_table, precision=30))
     ok = err < 1e-4 and positives
     _report(7, ok, f"lambda_1 err {float(err):.2e}; lambda_1..10 all "
                    f"positive: {positives}")
@@ -255,8 +254,8 @@ def test_criterion_09_tail_bound_soundness(zeros_table):
         big = zero_sum_p0(zeros_table.truncated(10 * K), False)
         if abs(small.value().value - big.value().value) > small.tail_bound.value:
             bad.append(f"zero_sum_p0 at K={K}")
-        small = li_lambda(1, zeros_table.truncated(K), False)
-        big = li_lambda(1, zeros_table.truncated(10 * K), False)
+        (small,) = li_lambda(1, zeros_table.truncated(K), False)
+        (big,) = li_lambda(1, zeros_table.truncated(10 * K), False)
         if abs(small.value().value - big.value().value) > small.tail_bound.value:
             bad.append(f"li_lambda at K={K}")
     ok = not bad

@@ -81,9 +81,9 @@ def test_li_lambda_bound_carries_claimed_accuracy(zeros_table):
                            zeros_table.source, exact.claimed_accuracy)
                  for s in (1, -1)]
     for n in range(1, 11):
-        base = li_lambda(n, exact, False, 30)
-        grew = li_lambda(n, zeros_table, False, 30).tail_bound.value - base.tail_bound.value
-        changes = [abs(li_lambda(n, table, False, 30).value().value - base.value().value)
+        base = li_lambda(n, exact, False, 30)[-1]
+        grew = li_lambda(n, zeros_table, False, 30)[-1].tail_bound.value - base.tail_bound.value
+        changes = [abs(li_lambda(n, table, False, 30)[-1].value().value - base.value().value)
                    for table in moved]
         assert max(changes) <= grew
         assert changes[1] > grew * mpf("0.9")
@@ -96,7 +96,7 @@ def test_sums_run_on_a_table_loaded_past_double_range(zeros_table):
     deep = load_zero_table(ZEROS_FILE, claimed_accuracy=5e-12, precision=320)
     assert deep.inverse_cube_bound >= zeros_table.inverse_cube_bound * (1 - mpf(2) ** -45)
     for n in (1, 10):
-        a, b = li_lambda(n, deep, precision=300), li_lambda(n, zeros_table)
+        a, b = li_lambda(n, deep, precision=300)[-1], li_lambda(n, zeros_table)[-1]
         with workdps(60):
             assert abs(a.value().value - b.value().value) <= \
                 a.tail_bound.value + b.tail_bound.value
@@ -106,7 +106,7 @@ def test_sums_run_on_a_table_loaded_past_double_range(zeros_table):
 
 
 def test_li_lambda_single_zero():
-    r = li_lambda(1, _single_zero_table(), with_tail_correction=False, precision=30)
+    (r,) = li_lambda(1, _single_zero_table(), with_tail_correction=False, precision=30)
     with workdps(40):
         assert abs(r.value().value - mpf(LI1_SINGLE)) < mpf(10) ** -18
 
@@ -124,7 +124,7 @@ def test_zero_sum_is_twice_li_lambda_one(zeros_table):
     # sum 1/(rho(1-rho)) = 2 lambda_1 term for term: value and bound double
     for table in (zeros_table, zeros_table.truncated(100)):
         for corrected in (True, False):
-            p0, lam = zero_sum_p0(table, corrected), li_lambda(1, table, corrected)
+            p0, (lam,) = zero_sum_p0(table, corrected), li_lambda(1, table, corrected)
             with workdps(200):
                 assert p0.value().value == 2 * lam.value().value
                 assert p0.tail_bound.value == 2 * lam.tail_bound.value
@@ -139,7 +139,7 @@ def test_li_lambda_pairing_reality():
         for n in (1, 3, 7):
             explicit = (1 - (1 - 1 / rho) ** n) + (1 - (1 - 1 / rho.conjugate()) ** n)
             assert abs(explicit.imag) < mpf(10) ** -35
-            fold = li_lambda(n, _single_zero_table(), False, 30).value().value
+            fold = li_lambda(n, _single_zero_table(), False, 30)[-1].value().value
             assert abs(explicit.real - fold) < mpf(10) ** -25
 
 
@@ -156,8 +156,8 @@ def test_li_lambda_neighbouring_large_n_same_scale(zeros_table):
     # two neighbouring large n over 100 zeros: both sums positive, and
     # lambda_51 above lambda_50 by less than a factor of two
     sub = zeros_table.truncated(100)
-    a = li_lambda(50, sub, False).value().value
-    b = li_lambda(51, sub, False).value().value
+    a = li_lambda(50, sub, False)[-1].value().value
+    b = li_lambda(51, sub, False)[-1].value().value
     assert 0 < a < b < 2 * a
 
 
@@ -174,9 +174,9 @@ def test_li_lambda_tail_scales_as_n_squared(n, zeros_table):
     # below lambda_n by no more than its bound
     with workdps(60):
         ref = mpf(LI_REFERENCE[n])
-        cor = li_lambda(n, zeros_table, with_tail_correction=True)
+        cor = li_lambda(n, zeros_table, with_tail_correction=True)[-1]
         assert abs(cor.value().value - ref) <= cor.tail_bound.value
-        raw = li_lambda(n, zeros_table, with_tail_correction=False)
+        raw = li_lambda(n, zeros_table, with_tail_correction=False)[-1]
         assert raw.value().value < ref <= raw.value().value + raw.tail_bound.value
 
 
@@ -189,12 +189,12 @@ def _li_oracle(gamma: mpf, n: int) -> mpf:
 @pytest.mark.parametrize("gamma", ["14.134725141734693", "1000", "9877.78"])
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 51, 64, 1000])
 def test_li_lambda_ladder_matches_complex_power(gamma, n):
-    # the fixed-point ladder against 2 Re(1 - (1 - 1/rho)^n) in mpc; the
+    # the fixed-point recurrence against 2 Re(1 - (1 - 1/rho)^n) in mpc; the
     # difference must stay within the rounding width: c n^2 K units of 2^-B
     # (under 2^-(prec + 8)) plus one ulp of the conversion
     with workdps(40):
         table = ZeroTable((mpf(gamma),), "ingested", mpf(1e-18))
-    r = li_lambda(n, table, with_tail_correction=False, precision=30)
+    r = li_lambda(n, table, with_tail_correction=False, precision=30)[-1]
     with workdps(40):
         prec = mp.prec
     with workdps(60):
@@ -206,11 +206,49 @@ def test_li_lambda_ladder_matches_complex_power(gamma, n):
 def test_li_lambda_encloses_complex_power_sum(zeros_table):
     sub = zeros_table.truncated(200)
     for n in range(1, 13):
-        r = li_lambda(n, sub, with_tail_correction=False, precision=30)
+        r = li_lambda(n, sub, with_tail_correction=False, precision=30)[-1]
         with workdps(60):
             oracle = mp.fsum(_li_oracle(g, n) for g in sub.ordinates)
             v, b = r.value().value, r.tail_bound.value
             assert v - b <= oracle <= v + b
+
+
+def test_li_lambda_one_pass_matches_sine_oracle(zeros_table):
+    # lambda_1..lambda_12 from one fixed-point pass over the first 2,000
+    # rows against a 90-digit fsum of the paired term 4 sin^2(n atan(1/(2g)))
+    sub = zeros_table.truncated(2000)
+    with workdps(90):
+        ts = [mp.atan(1 / (2 * g)) for g in sub.ordinates]
+        oracle = [mp.fsum(4 * mp.sin(n * t) ** 2 for t in ts) for n in range(1, 13)]
+    for P in (15, 30, 50):
+        lams = li_lambda(12, sub, False, P)
+        with workdps(90):
+            for lam, ref in zip(lams, oracle):
+                assert abs(lam.value().value - ref) < mpf(10) ** -(P - 2)
+
+
+def test_li_lambda_returns_lambda_1_to_n(zeros_table):
+    sub = zeros_table.truncated(300)
+    lams = li_lambda(7, sub, precision=30)
+    assert len(lams) == 7
+    assert [r.series_id for r in lams] == [f"li_lambda[{k}]" for k in range(1, 8)]
+    assert all(r.terms_used == 300 for r in lams)
+
+
+@pytest.mark.parametrize("P", [15, 50])
+def test_li_lambda_longer_pass_agrees(P, zeros_table):
+    # lambda_k from a pass to n = 40, whose fixed-point width is taken for
+    # n, agrees with lambda_k from its own pass to P digits, value and bound
+    sub = zeros_table.truncated(500)
+    long = li_lambda(40, sub, True, P)
+    for k in (1, 2, 7, 39, 40):
+        own = li_lambda(k, sub, True, P)[k - 1]
+        with workdps(P + 20):
+            a, b = long[k - 1], own
+            assert abs(a.value().value - b.value().value) <= \
+                mpf(10) ** -P * max(1, abs(b.value().value))
+            assert abs(a.tail_bound.value - b.tail_bound.value) <= \
+                mpf(10) ** -P * b.tail_bound.value
 
 
 def test_gn3_matches_ordered_triple_loop(zeros_table):

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf, workdps, workprec
+from mpmath.libmp import from_rational, round_nearest
 
 from zetasum import zeta_zeros
 from zetasum.numerics import DEFAULT_PRECISION, DomainError, _GUARD
@@ -332,6 +334,87 @@ def test_export_round_trip_keeps_accuracy(tmp_path, computed_table_100):
         <= load_zero_table(exported).claimed_accuracy
     assert load_zero_table(exported, claimed_accuracy=1e-12).claimed_accuracy == mpf(1e-12)
     assert load_zero_table(ZEROS_FILE).claimed_accuracy == mpf(1e-10)
+
+
+def test_export_of_export_is_byte_identical(tmp_path, computed_table_100):
+    # a found table's header adds its rows' rounding once; rows read back as
+    # the loaded ordinates and a header read back as the loaded accuracy are
+    # written unchanged, so exporting an export changes no byte
+    found, g, h = tmp_path / "found.txt", tmp_path / "g.txt", tmp_path / "h.txt"
+    write_zero_table(computed_table_100, found)
+    assert found.read_text().splitlines()[0].endswith("accuracy 1.01e-09")
+    write_zero_table(load_zero_table(found), g)
+    write_zero_table(load_zero_table(g), h)
+    assert g.read_bytes() == h.read_bytes()
+    assert g.read_text().splitlines()[1:] == found.read_text().splitlines()[1:]
+    # the shipped table's rows carry TABLE_DIGITS digits and its default
+    # accuracy is 1e-10: an export states that and copies every row
+    shipped = tmp_path / "shipped.txt"
+    write_zero_table(load_zero_table(ZEROS_FILE), shipped)
+    lines = shipped.read_text().splitlines()
+    assert lines[0] == "# 10000 zeta-zero ordinates (ingested), accuracy 1.00e-10"
+    with open(ZEROS_FILE, encoding="utf-8") as fh:
+        assert lines[1:] == [l.strip() for l in fh if not l.startswith("#")]
+
+
+@pytest.mark.parametrize("claimed", [1e-10, "1.01e-09", "1.0100000001e-9", 2.0 ** -33, "0",
+                                     "4.995e-12"])
+def test_header_states_at_least_the_claimed_accuracy(tmp_path, claimed):
+    # the header's three digits are the accuracy's own when they read back
+    # as it at its mantissa's precision, else rounded up: reading the header
+    # back never gives less than the table claimed
+    with workdps(DEFAULT_PRECISION + _GUARD):
+        acc = mpf(claimed)
+        table = ZeroTable((mpf("14.1347251417347"), mpf("21.0220396387716")), "ingested", acc)
+    path = tmp_path / "z.txt"
+    write_zero_table(table, path)
+    stated = path.read_text().splitlines()[0].split("accuracy ")[1]
+    with workprec(max(53, acc.man_exp[0].bit_length())):
+        assert mpf(stated) >= acc
+    # read at more bits, it can fall short only by reading's own rounding
+    loaded = load_zero_table(path).claimed_accuracy
+    with workdps(DEFAULT_PRECISION + _GUARD):
+        assert loaded >= acc * (1 - mpf(2) ** -52)
+
+
+def _exact_decimal(a: int, j: int) -> str:
+    """a / 2^j as its exact decimal, j >= 1 fraction digits."""
+    digits = str(a * 5 ** j).rjust(j + 1, "0")
+    return digits[:-j] + "." + digits[-j:]
+
+
+@pytest.mark.parametrize("dps", [17, 32, 52, 82, 322])
+def test_load_rounds_rows_as_mpf_does(dps, tmp_path):
+    # rows of digits and a point are parsed as integers; every shipped row,
+    # dyadic ties either side of even, near ties, and rows that take mpf's
+    # own parser give mpf(text)'s mantissa and exponent bit for bit.  Rows
+    # are also checked against the quotient m/10^k rounded once by mpmath's
+    # mpf_div, since past 400 fraction digits mpf(text) rounds twice (at 322
+    # digits it takes the tie 1 + 3 2^-prec to an odd mantissa)
+    precision = dps - _GUARD
+    with open(ZEROS_FILE, encoding="utf-8") as fh:
+        rows = [l.strip() for l in fh if not l.startswith("#")]
+    table = load_zero_table(ZEROS_FILE, precision=precision)
+    with workdps(dps):
+        assert [g.man_exp for g in table.ordinates] == [mpf(r).man_exp for r in rows]
+        prec = mp.prec
+    # 1 + 2^-prec and 1 + 3 2^-prec are ties, half an ulp above 1 and above
+    # 1 + 2^(1-prec); 1 + 3 2^-(prec+1) lies a quarter ulp from a tie;
+    # 14.5 + 2^(3-prec) is a tie at 14.5
+    edge = [_exact_decimal(2 ** prec + 1, prec), _exact_decimal(2 ** prec + 3, prec),
+            _exact_decimal(2 ** (prec + 1) + 3, prec + 1),
+            _exact_decimal(29 * 2 ** (prec - 4) + 1, prec - 3)]
+    for text in edge + ["14.", ".5", "1.4e1", "+14.5", "1_4.5", "\u0661\u0664.\u0665"]:
+        path = tmp_path / "row.txt"
+        path.write_text(text + "\n", encoding="utf-8")
+        (g,) = load_zero_table(path, precision=precision).ordinates
+        with workdps(dps):
+            if text in edge:
+                q = Fraction(text)
+                once = from_rational(q.numerator, q.denominator, prec, round_nearest)
+                assert g._mpf_ == once, text
+            if text not in edge or len(text.split(".")[1]) <= 400:
+                assert g.man_exp == mpf(text).man_exp, text
 
 
 def test_export_limit(tmp_path, computed_table_100):

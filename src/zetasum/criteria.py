@@ -192,7 +192,7 @@ def li_lambda(
         sums = [0] * n  # sums[k - 1]: v_k summed over the zeros
         for g in zeros.ordinates:
             # v_1 = x/2 = 2/(4 m^2 2^(2e) + 1) for gamma = m 2^e
-            m, e = g.man_exp
+            _, m, e, _ = g._mpf_
             if e < 0:
                 v1 = (1 << (B + 1 - 2 * e)) // ((m * m << 2) + (1 << -2 * e))
             else:

@@ -31,7 +31,7 @@ from functools import cached_property
 from itertools import count
 
 from mpmath import mp, mpf, mpc, workdps, workprec
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import MPZ, fzero
 
 from .numerics import (
     DEFAULT_PRECISION,
@@ -65,7 +65,16 @@ class ZeroTableError(DomainError):
 class ZeroTable:
     """Positive ordinates of nontrivial zeros, strictly increasing, as mpf
     values (of no precision of their own), and one claimed accuracy: each
-    lies within it of its zero.  The constructor checks each once."""
+    lies within it of its zero.  The constructor checks each once.
+
+    The order check reads each ordinate's (sign, man, exp, bc) in exact
+    integers.  An ordinate passes only with sign 0 and man > 0: mpmath
+    gives zero, +-inf and NaN a mantissa of 0.  A positive man 2^exp, man
+    of bc bits, lies in [2^(exp+bc-1), 2^(exp+bc)), so positives order by
+    exp + bc, then by man aligned to the widest mantissa in the table,
+    man 2^(width-bc): no shift is longer than that mantissa, however far
+    apart the exponents are.  A ZeroTableError's index is the first
+    ordinate that fails."""
 
     ordinates: tuple  # of mpf
     source: str  # "computed" | "ingested"
@@ -74,11 +83,15 @@ class ZeroTable:
     def __post_init__(self):
         if self.source not in ("computed", "ingested"):
             raise DomainError(f"unknown zero-table source {self.source!r}")
-        prev = 0  # the first comparison checks positivity
-        for i, g in enumerate(self.ordinates):
-            if not g > prev:  # NaN fails too
-                raise ZeroTableError(f"ordinate {g} not above {prev}", index=i)
-            prev = g
+        ords = self.ordinates
+        width = max((g._mpf_[3] for g in ords), default=0)
+        last = ()  # a tuple below every key
+        for i, g in enumerate(ords):
+            sign, man, exp, bc = g._mpf_
+            key = exp + bc, man << width - bc
+            if sign or not man or not key > last:
+                raise ZeroTableError(f"ordinate {g} not above {ords[i - 1] if i else 0}", index=i)
+            last = key
         first = self.ordinates[0] if self.ordinates else mp.inf
         if not 0 <= self.claimed_accuracy < first:
             raise DomainError("claimed accuracy must be >= 0 and below the first ordinate")
@@ -106,8 +119,8 @@ class ZeroTable:
         relative, are covered by the factor 1 + 2^-50."""
         cubes = []
         for g in self.ordinates:
-            m, e = g.man_exp
-            s = max(0, m.bit_length() - 53)
+            _, m, e, bc = g._mpf_
+            s = max(0, bc - 53)
             gf = math.ldexp(m >> s, e + s)
             cubes.append(1 / (gf * gf * gf))
         return mpf(math.fsum(cubes)) * (1 + mpf(2) ** -50)
@@ -508,29 +521,88 @@ def find_zeros(t_max) -> ZeroTable:
 _HEADER = (r"# \d+ zeta-zero ordinates \((?:computed|ingested)\), "
            r"accuracy (\d\.\d\de[+-]\d+)")
 
-# a row load_zero_table parses exactly in integers: its integer and fraction digits
-_DECIMAL_ROW = r"([0-9]+)\.([0-9]+)"
+# the largest |exponent| of a row in exponent form that _parse_ordinate
+# reads in integers; past it, 10^|exponent| would be a large integer to
+# build, and the row goes to mpf(text)
+_EXACT_EXPONENT = 10_000
 
 
-def _parse_ordinate(text: str) -> mpf:
-    """text as an mpf rounded to nearest at the working precision.  A row
-    of ASCII digits with a point, m/10^k with k fraction digits, is divided
-    in integers: q = floor(m 2^s / 10^k) with at least prec + 2 bits, its
-    last bit set when the division leaves a remainder (a sticky bit, so no
-    inexact quotient reads as a tie), then rounded once.  That is bit for
-    bit what mpf(text) gives up to 400 fraction digits; past them mpf(text)
-    rounds twice, this once.  Any other text goes to mpf(text)."""
-    row = re.fullmatch(_DECIMAL_ROW, text)
-    if row is None:
-        return mpf(text)
-    whole, frac = row.groups()
-    m, den = int(whole + frac), 10 ** len(frac)
+def _decimal_literal(text: str):
+    """(sign, m, k) with text = (-1)^sign m / 10^k, k >= 0, for an ASCII
+    float literal: [+-]?, digits with an optional point (a digit on at least
+    one side), and an optional [eE][+-]?digits whose value is at most
+    _EXACT_EXPONENT in magnitude.  None for any other text."""
+    if not text.isascii():
+        return None
+    sign = 1 if text[:1] == "-" else 0
+    body = text[1:] if text[:1] in ("+", "-") else text
+    mantissa, e, exponent = body.lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    digits = whole + frac  # a second point, a sign or a letter fails isdigit
+    if not digits.isdigit():
+        return None
+    E = 0
+    if e:
+        unsigned = exponent[1:] if exponent[:1] in ("+", "-") else exponent
+        if not unsigned.isdigit():
+            return None
+        E = int(exponent)
+        if abs(E) > _EXACT_EXPONENT:
+            return None
+    d = E - len(frac)
+    return (sign, int(digits) * 10 ** d, 0) if d >= 0 else (sign, int(digits), -d)
+
+
+def _parse_ordinate(text: str, powers: dict) -> mpf:
+    """text as an mpf rounded once to nearest, ties to even, at the working
+    precision prec.
+
+    A row of ASCII digits with a point (the form write_zero_table writes)
+    is tested with partition and isdigit and read as m / 10^k, k its
+    fraction digits.  Any other ASCII float literal, signed, with or
+    without a point, in exponent form or not, is read as (-1)^sign m / 10^k
+    by _decimal_literal.  Then in integers: q = floor(m 2^s / 10^k) has at
+    least prec + 3 bits, its last bit set when the division leaves a
+    remainder (a sticky bit, so no inexact quotient reads as a tie), and is
+    rounded once to prec bits and shifted to an odd mantissa, mpmath's
+    normal form.  powers caches (10^k, its bit length) per k, for one load.
+
+    That is bit for bit mpf(text) while mpf(text) rounds once: while
+    |E - j| <= 400, E the exponent and j the fraction digits short of
+    trailing zeros.  Past that mpf(text) multiplies by a power of ten at
+    prec + 10 bits and rounds twice; this rounds once.  Every other text
+    goes to mpf(text): nan and inf, an exponent above _EXACT_EXPONENT,
+    underscores, non-ASCII digits, a/b."""
+    whole, _, frac = text.partition(".")
+    if whole.isdigit() and frac.isdigit() and text.isascii():
+        sign, m, k = 0, int(whole + frac), len(frac)
+    else:
+        literal = _decimal_literal(text)
+        if literal is None:
+            return mpf(text)
+        sign, m, k = literal
+    if not m:
+        return mp.make_mpf(fzero)  # mpmath has no -0
+    power = powers.get(k)
+    if power is None:
+        den = 10 ** k
+        power = powers[k] = den, den.bit_length()
+    den, den_bits = power
     prec = mp.prec
-    s = max(0, prec + 3 + den.bit_length() - m.bit_length())
+    s = max(0, prec + 3 + den_bits - m.bit_length())
     q, r = divmod(m << s, den)
     if r:
         q, s = q << 1 | 1, s + 1
-    return mp.make_mpf(from_man_exp(q, -s, prec, round_nearest))
+    shift = q.bit_length() - prec
+    # adding half an ulp less one, plus the lowest kept bit, rounds up
+    # exactly when the dropped bits exceed half an ulp, or equal it with
+    # that bit odd: to nearest, ties to even
+    q = q + (1 << shift - 1) - 1 + (q >> shift & 1) >> shift
+    if not q & 1:
+        zeros = (q & -q).bit_length() - 1
+        q >>= zeros
+        shift += zeros
+    return mp.make_mpf((sign, MPZ(q), shift - s, q.bit_length()))
 
 
 def load_zero_table(
@@ -540,13 +612,17 @@ def load_zero_table(
 ) -> ZeroTable:
     """Parse a plain-text zero table at precision + _GUARD digits: one
     ascending decimal ordinate per line, '#' comments and blank lines
-    ignored.  Each row is rounded to nearest at that precision, a row of
-    digits and a point by exact integer division (_parse_ordinate), as
-    mpf(row) rounds it.  The claimed accuracy, unless given, is the
-    one stated by a first line in write_zero_table's form, else 1e-10.  A
-    ZeroTableError names the line of the first bad ordinate; one is raised
-    too if the count fails zero_count_check."""
-    ordinates, line_numbers, header = [], [], None
+    ignored, read one line at a time.  Each row is rounded once to nearest
+    at that precision by exact integer division (_parse_ordinate): a row of
+    digits and a point, and any other ASCII decimal literal, signed or in
+    exponent form; nan, inf and other text go to mpf(row).  The powers of
+    ten the rows need are computed once per fraction length in each load.
+    The claimed accuracy, unless given, is the one stated by a first line
+    in write_zero_table's form, else 1e-10.  ZeroTable checks the order in
+    exact integers.  A ZeroTableError names the line of the first bad
+    ordinate (unparsable, not positive and finite, or not above the one
+    before); one is raised too if the count fails zero_count_check."""
+    ordinates, line_numbers, header, powers = [], [], None, {}
     with workdps(precision + _GUARD):
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -556,7 +632,7 @@ def load_zero_table(
                 if not text or text.startswith("#"):
                     continue
                 try:
-                    ordinates.append(_parse_ordinate(text))
+                    ordinates.append(_parse_ordinate(text, powers))
                 except Exception:
                     raise ZeroTableError(f"cannot parse ordinate {text!r}", lineno) from None
                 line_numbers.append(lineno)
@@ -586,8 +662,9 @@ def _reads_back(texts, values) -> bool:
     most P bits and lies within half an ulp at P bits of it, so it reads
     back at the longest mantissa's precision too."""
     prec = max([53] + [x.man_exp[0].bit_length() for x in values])
+    powers = {}
     with workprec(prec):
-        return all(_parse_ordinate(text) == x for text, x in zip(texts, values))
+        return all(_parse_ordinate(text, powers) == x for text, x in zip(texts, values))
 
 
 def write_zero_table(table: ZeroTable, path):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -297,6 +298,86 @@ def test_table_invariants():
             ZeroTable(good, "computed", mpf(bad))
 
 
+@pytest.mark.parametrize("rows, index", [
+    (("0", "14"), 0),
+    (("-0.0", "14"), 0),
+    (("-14", "21"), 0),
+    (("-inf", "14"), 0),
+    (("14", "14"), 1),
+    (("21", "14"), 1),
+    (("14", "nan", "21"), 1),
+    (("14", "inf"), 1),
+], ids=["zero", "minus_zero", "negative", "minus_inf", "equal", "decrease", "nan", "inf"])
+def test_table_rejects_each_bad_ordinate(rows, index):
+    # zero, negatives, equal neighbours, a decrease, NaN and +-inf, each at
+    # its own index; +inf above a finite ordinate is rejected too
+    with pytest.raises(ZeroTableError) as exc:
+        ZeroTable(tuple(mpf(r) for r in rows), "ingested", mpf(0))
+    assert exc.value.index == index
+    prev = mpf(rows[index - 1]) if index else 0
+    assert str(exc.value) == f"ordinate {mpf(rows[index])} not above {prev}"
+
+
+def test_table_orders_ordinates_of_mixed_precision():
+    # ordinates made at 17 and at 60 digits that differ only beyond 2^-60
+    # differ in mantissa width and exponent; the integer check orders them
+    # as mpf comparison does
+    with workdps(17):
+        a = mpf("14.1347251417347")
+    with workdps(60):
+        above, below = a + mpf(2) ** -70, a - mpf(2) ** -70
+        equal = +a
+    acc = mpf(0)
+    assert len(ZeroTable((a, above), "ingested", acc)) == 2
+    assert len(ZeroTable((below, a, above), "ingested", acc)) == 3
+    for bad in ((above, a), (a, below), (a, equal)):
+        with pytest.raises(ZeroTableError) as exc:
+            ZeroTable(bad, "ingested", acc)
+        assert exc.value.index == 1
+
+
+def test_table_order_verdict_matches_mpf_comparison(zeros_table):
+    # 50 seeded perturbations of the shipped ordinates, most of them at or
+    # within an ulp of a neighbour at a random precision: the constructor
+    # rejects at the first ordinate that is not finite and above the one
+    # before by mpf comparison, and accepts the others
+    rng = random.Random(24)
+    ords = zeros_table.ordinates
+    verdicts = set()
+    with workdps(DEFAULT_PRECISION + _GUARD):
+        for _ in range(50):
+            rows = list(ords)
+            i = rng.randrange(1, len(rows))
+            kind = rng.choice(["ulp", "ulp", "ulp", "swap", "round", "special"])
+            if kind == "ulp":  # a neighbour's value at p bits, moved by -1, 0 or 1 ulp
+                p = rng.randrange(20, 250)
+                with workprec(p):
+                    near = +rows[i - 1]
+                rows[i] = near + rng.choice([-1, 0, 1]) * mp.ldexp(1, mp.mag(near) - p)
+            elif kind == "swap":
+                rows[i - 1], rows[i] = rows[i], rows[i - 1]
+            elif kind == "round":  # a run of ordinates at a random precision
+                for j in range(i, min(i + 50, len(rows))):
+                    with workprec(rng.randrange(20, 250)):
+                        rows[j] = +rows[j]
+            else:
+                rows[i] = rng.choice([mpf(0), -rows[i], mp.nan, mp.inf])
+            expected, prev = None, 0
+            for j, g in enumerate(rows):
+                if not (mp.isfinite(g) and g > prev):
+                    expected = j
+                    break
+                prev = g
+            try:
+                ZeroTable(tuple(rows), "ingested", zeros_table.claimed_accuracy)
+                got = None
+            except ZeroTableError as exc:
+                got = exc.index
+            assert got == expected, (kind, i)
+            verdicts.add(got is None)
+    assert verdicts == {True, False}
+
+
 def test_count_below_matches_linear_count(zeros_table):
     ords = zeros_table.ordinates
     # the precision the table was read at, so that v +- ulp stay distinct
@@ -415,6 +496,48 @@ def test_load_rounds_rows_as_mpf_does(dps, tmp_path):
                 assert g._mpf_ == once, text
             if text not in edge or len(text.split(".")[1]) <= 400:
                 assert g.man_exp == mpf(text).man_exp, text
+
+
+@pytest.mark.parametrize("dps", [17, 32, 52, 82, 322])
+def test_parse_leading_zero_rows_as_mpf_does(dps):
+    # rows with a zero integer part, a leading zero or the value zero
+    with workdps(dps):
+        for text in ("0.5", "014.5", "0.0"):
+            assert zeta_zeros._parse_ordinate(text, {})._mpf_ == mpf(text)._mpf_, text
+
+
+@pytest.mark.parametrize("dps", [17, 32, 52, 82, 322])
+def test_rows_round_once_in_every_form(dps, tmp_path):
+    # a row in exponent or signed form is m 10^d rounded once, at any
+    # length: the tie 1 + 3 2^-prec written out in full with e0 appended
+    # (which mpf(text) rounds twice at 322 digits), and the edge rows of
+    # test_load_rounds_rows_as_mpf_does with a sign, with the point moved
+    # against an exponent, and without a point.  One more edge row lies
+    # 10^-(prec+1) above the tie 1 + 2^-prec, too close for the quotient's
+    # bits to see without the sticky bit, and must round up
+    with workdps(dps):
+        prec = mp.prec
+    tie = _exact_decimal(2 ** prec + 3, prec)
+    edge = [tie, _exact_decimal(2 ** prec + 1, prec),
+            _exact_decimal(2 ** (prec + 1) + 3, prec + 1),
+            _exact_decimal(29 * 2 ** (prec - 4) + 1, prec - 3),
+            _exact_decimal(2 ** prec + 1, prec) + "1"]
+    rows = []
+    for text in edge:
+        whole, frac = text.split(".")
+        rows += [text, text + "e0", "+" + text, "-" + text, f"{whole}{frac}e-{len(frac)}",
+                 f"0.{whole}{frac}E+{len(whole)}", f"{whole}{frac[:3]}.{frac[3:]}e-3"]
+    rows += ["1.41347251417347e1", "+14.1347251417347", "141347251417347E-13", ".5e1", "5.e-1"]
+    with workdps(dps):
+        for text in rows:
+            q = Fraction(text)
+            once = from_rational(q.numerator, q.denominator, prec, round_nearest)
+            assert zeta_zeros._parse_ordinate(text, {})._mpf_ == once, text
+    path = tmp_path / "tie.txt"
+    path.write_text(tie + "e0\n", encoding="utf-8")
+    (g,) = load_zero_table(path, precision=dps - _GUARD).ordinates
+    q = Fraction(tie)
+    assert g._mpf_ == from_rational(q.numerator, q.denominator, prec, round_nearest)
 
 
 def test_export_limit(tmp_path, computed_table_100):

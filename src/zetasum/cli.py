@@ -29,17 +29,15 @@ import json
 import os
 import sys
 
-from mpmath import mp
-
 from .numerics import DEFAULT_PRECISION, MIN_PRECISION
 from .digit_series import SeriesResult
 from .zeta_zeros import (
-    TABLE_DIGITS,
     MissedZeroError,
     ZeroTable,
     ZeroTableError,
     find_zeros,
     load_zero_table,
+    table_rows,
     write_zero_table,
 )
 from . import criteria
@@ -202,8 +200,8 @@ def cmd_zeros_find(args) -> int:
         write_zero_table(table, args.output)
         print(f"{len(table)} zeros up to t={args.height} -> {args.output}")
     else:
-        for g in table.ordinates:
-            print(mp.nstr(g, TABLE_DIGITS, strip_zeros=False))
+        for row in table_rows(table):
+            print(row)
     return EXIT_PASS
 
 

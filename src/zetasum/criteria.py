@@ -16,7 +16,7 @@ results carry a visibly wider tolerance than plain series results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, fsum, ldexp
 from typing import Optional
 
 from mpmath import mp, mpf, workdps
@@ -174,9 +174,10 @@ def li_lambda(
     The true ordinate and the mean-value point lie within the claimed
     accuracy delta of the listed g, so the sum moves by less than
     2 k^2 delta sum (g - delta)^-3 <= 2 k^2 delta (g1/(g1 - delta))^3 sum g^-3,
-    g1 the first ordinate, which goes into the bound; sum g^-3 is the
-    table's inverse_cube_bound, summed once per table in floats and
-    rounded up.
+    g1 the first ordinate, which goes into the bound.  sum g^-3 is summed in
+    doubles on every call, rounded up: each g is cut to its top 53 bits,
+    scaled by 2^-E (g1 < 2^E) and capped below 2^300, all of which lower it,
+    so no term exceeds 8 or overflows; 1 + 2^-50 covers the four roundings.
     """
     if n < 1:
         raise DomainError("li_lambda requires n >= 1")
@@ -190,6 +191,14 @@ def li_lambda(
         K = len(zeros)
         B = mp.prec + (_LI_ROUNDING * n * n * K).bit_length() + _FIXED_GUARD_BITS
         sums = [0] * n  # sums[k - 1]: v_k summed over the zeros
+        delta, g1 = zeros.claimed_accuracy, zeros.ordinates[0]
+        E = mp.mag(g1)
+        cubes = []  # (g 2^-E)^-3, g cut to 53 bits
+        for g in zeros.ordinates:
+            _, m, e, bc = g._mpf_
+            s = bc - 53 if bc > 53 else 0
+            h = ldexp(m >> s, min(e + s - E, 300 - 53))  # below 2^300
+            cubes.append(1 / (h * h * h))
         for g in zeros.ordinates:
             # v_1 = x/2 = 2/(4 m^2 2^(2e) + 1) for gamma = m 2^e
             _, m, e, _ = g._mpf_
@@ -202,8 +211,8 @@ def li_lambda(
             for k in range(1, n):
                 prev, v = v, ((v1 + v - (v1 * v >> B)) << 1) - prev
                 sums[k] += v
-        delta, g1 = zeros.claimed_accuracy, zeros.ordinates[0]
         widen = (g1 / (g1 - delta)) ** 3
+        inverse_cubes = mp.ldexp(mpf(fsum(cubes)) * (1 + mpf(2) ** -50), -3 * E)
         T = zeros.max_ordinate()
         D, fluct = _density_tail(T), _fluctuation_bound(T)
         results = []
@@ -215,7 +224,7 @@ def li_lambda(
                 bound = k2 * fluct + mpf(k2 * (k2 - 1)) / 12 * (D + fluct) / (mpf(1) / 4 + T * T)
             else:
                 bound = k2 * (D + fluct)
-            bound += 2 * k2 * delta * widen * zeros.inverse_cube_bound + rounding \
+            bound += 2 * k2 * delta * widen * inverse_cubes + rounding \
                 + _rounding_slack(precision)
             results.append(SeriesResult(
                 ExtendedReal(value, precision),

@@ -133,8 +133,8 @@ def digamma(x: Number, precision: int | None = None) -> ExtendedReal:
 
 
 def polygamma(order: int, x: Number, precision: int | None = None) -> ExtendedReal:
-    """psi^(order)(x) for x > 0.  Orders are limited to 1..6, the range the
-    series tail acceleration uses."""
+    """psi^(order)(x) for x > 0, orders 1..6.  No route calls it:
+    p12_series' tail acceleration calls mp.polygamma directly."""
     if not 1 <= order <= 6:
         raise DomainError("polygamma supports orders 1..6 only")
     return _gamma_family("polygamma", lambda v: mp.polygamma(order, v), x, precision)

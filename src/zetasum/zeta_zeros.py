@@ -1,9 +1,9 @@
 """Critical-line zeta machinery: Hardy Z evaluation, a Gram-point zero
 finder whose zero count is proven by Rosser's rule and Turing's method in
 Brent's explicit form, Anderson-Bjorck regula falsi refinement, zero tables
-(mpf ordinates and one claimed accuracy) read from and written to text, and
-the Riemann-von Mangoldt count check (a cross-check on computed tables, the
-only check on ingested ones).
+(plain data: mpf ordinates and one claimed accuracy) and their text form,
+and the Riemann-von Mangoldt count check in doubles (a cross-check on
+computed tables, the only check on ingested ones).
 
 The count proof takes the signs of Z as given.  They come from the
 Euler-Maclaurin evaluation at the scan precision, which carries no
@@ -27,7 +27,6 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Context, Decimal
-from functools import cached_property
 from itertools import count
 
 from mpmath import mp, mpf, mpc, workdps, workprec
@@ -109,21 +108,6 @@ class ZeroTable:
 
     def truncated(self, limit: int) -> "ZeroTable":
         return ZeroTable(self.ordinates[:limit], self.source, self.claimed_accuracy)
-
-    @cached_property
-    def inverse_cube_bound(self) -> mpf:
-        """An upper bound on sum g^-3 over the ordinates, summed once per
-        table in floats.  Each g is first cut to its top 53 bits, which is
-        exact in a double and rounds g down, so g^-3 only grows; the three
-        roundings of 1/(g g g) and the one of fsum, each at most 2^-53
-        relative, are covered by the factor 1 + 2^-50."""
-        cubes = []
-        for g in self.ordinates:
-            _, m, e, bc = g._mpf_
-            s = max(0, bc - 53)
-            gf = math.ldexp(m >> s, e + s)
-            cubes.append(1 / (gf * gf * gf))
-        return mpf(math.fsum(cubes)) * (1 + mpf(2) ** -50)
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +304,18 @@ def hardy_z(t, precision: int = DEFAULT_PRECISION) -> ExtendedReal:
 # Zero counting / scanning
 
 
-def _rvm_estimate(T: mpf) -> mpf:
-    x = T / (2 * mp.pi)
-    return x * mp.ln(x) - x + mpf(7) / 8
+def _rvm_estimate(T: float) -> float:
+    x = T / (2 * math.pi)
+    return x * (math.log(x) - 1) + 7 / 8  # inf, not nan, at T = inf
 
 
 def zero_count_check(table: ZeroTable, T) -> bool:
-    """Compare the table's count of ordinates <= T against the smooth
-    Riemann-von Mangoldt estimate; pass iff they differ by less than 2."""
-    with workdps(30):
-        t = mpf(T)
-        est = _rvm_estimate(t)
-        return abs(table.count_below(t) - est) < COUNT_CHECK_SLACK
+    """Whether the table's count of ordinates <= T lies within 2 of the
+    smooth Riemann-von Mangoldt estimate, in doubles; T must be > 0."""
+    T = float(T)
+    if not T > 0:
+        raise DomainError(f"count check height T={T} must be > 0")
+    return abs(table.count_below(T) - _rvm_estimate(T)) < COUNT_CHECK_SLACK
 
 
 REFINE_TOL = 1e-9  # width of a refined bracket, a computed table's claimed accuracy
@@ -509,7 +493,7 @@ def find_zeros(t_max) -> ZeroTable:
         if not zero_count_check(table, t_max):
             raise MissedZeroError(
                 f"zero count mismatch below t={t_max}: found {len(ordinates)}, "
-                f"expected ~{float(_rvm_estimate(mpf(t_max))):.2f}")
+                f"expected ~{_rvm_estimate(t_max):.2f}")
         return table
 
 
@@ -521,73 +505,57 @@ def find_zeros(t_max) -> ZeroTable:
 _HEADER = (r"# \d+ zeta-zero ordinates \((?:computed|ingested)\), "
            r"accuracy (\d\.\d\de[+-]\d+)")
 
-# the largest |exponent| of a row in exponent form that _parse_ordinate
-# reads in integers; past it, 10^|exponent| would be a large integer to
-# build, and the row goes to mpf(text)
-_EXACT_EXPONENT = 10_000
-
-
-def _decimal_literal(text: str):
-    """(sign, m, k) with text = (-1)^sign m / 10^k, k >= 0, for an ASCII
-    float literal: [+-]?, digits with an optional point (a digit on at least
-    one side), and an optional [eE][+-]?digits whose value is at most
-    _EXACT_EXPONENT in magnitude.  None for any other text."""
-    if not text.isascii():
-        return None
-    sign = 1 if text[:1] == "-" else 0
-    body = text[1:] if text[:1] in ("+", "-") else text
-    mantissa, e, exponent = body.lower().partition("e")
-    whole, _, frac = mantissa.partition(".")
-    digits = whole + frac  # a second point, a sign or a letter fails isdigit
-    if not digits.isdigit():
-        return None
-    E = 0
-    if e:
-        unsigned = exponent[1:] if exponent[:1] in ("+", "-") else exponent
-        if not unsigned.isdigit():
-            return None
-        E = int(exponent)
-        if abs(E) > _EXACT_EXPONENT:
-            return None
-    d = E - len(frac)
-    return (sign, int(digits) * 10 ** d, 0) if d >= 0 else (sign, int(digits), -d)
+# largest |Decimal exponent| read in integers; it holds any row of <= 4,300 digits
+# (int()'s limit) written with |exponent| <= 10,000, and 10^15000 is still cheap
+_EXACT_EXPONENT = 15_000
 
 
 def _parse_ordinate(text: str, powers: dict) -> mpf:
     """text as an mpf rounded once to nearest, ties to even, at the working
     precision prec.
 
-    A row of ASCII digits with a point (the form write_zero_table writes)
-    is tested with partition and isdigit and read as m / 10^k, k its
-    fraction digits.  Any other ASCII float literal, signed, with or
-    without a point, in exponent form or not, is read as (-1)^sign m / 10^k
-    by _decimal_literal.  Then in integers: q = floor(m 2^s / 10^k) has at
-    least prec + 3 bits, its last bit set when the division leaves a
-    remainder (a sticky bit, so no inexact quotient reads as a tie), and is
-    rounded once to prec bits and shifted to an odd mantissa, mpmath's
-    normal form.  powers caches (10^k, its bit length) per k, for one load.
+    A row of ASCII digits and a point (the form write_zero_table writes) is
+    m / 10^k, k its fraction digits; powers caches (10^k, its bit length)
+    per k, for one load.  Past int()'s digit limit the row keeps its whole
+    part, prec + 1 fraction digits and a 1 if a dropped digit is nonzero:
+    for a value >= 1 every rounding boundary at prec bits is a multiple of
+    10^-(prec+1), and the 1 keeps the row between the same two multiples.
+    Any other ASCII row without "_" that decimal.Decimal reads as finite,
+    of exponent at most _EXACT_EXPONENT in magnitude, is its exact ratio
+    m / den.  Then in integers: q = floor(m 2^s / den) has at least prec + 3
+    bits, its last bit set when the division leaves a remainder (a sticky
+    bit, so no inexact quotient reads as a tie), and is rounded once to prec
+    bits and shifted to an odd mantissa, mpmath's normal form.
 
     That is bit for bit mpf(text) while mpf(text) rounds once: while
     |E - j| <= 400, E the exponent and j the fraction digits short of
     trailing zeros.  Past that mpf(text) multiplies by a power of ten at
     prec + 10 bits and rounds twice; this rounds once.  Every other text
-    goes to mpf(text): nan and inf, an exponent above _EXACT_EXPONENT,
-    underscores, non-ASCII digits, a/b."""
+    goes to mpf(text): nan, inf, larger exponents, underscores, a/b."""
     whole, _, frac = text.partition(".")
     if whole.isdigit() and frac.isdigit() and text.isascii():
-        sign, m, k = 0, int(whole + frac), len(frac)
+        try:
+            m = int(whole + frac)
+        except ValueError:  # past int()'s limit; a row below 1 keeps all and fails
+            cut = mp.prec + 1 if whole.strip("0") else len(frac)
+            frac = frac[:cut] + ("1" if frac[cut:].strip("0") else "")
+            m = int(whole + frac)
+        sign, k = 0, len(frac)
+        power = powers.get(k)
+        if power is None:
+            den = 10 ** k
+            power = powers[k] = den, den.bit_length()
+        den, den_bits = power
     else:
-        literal = _decimal_literal(text)
-        if literal is None:
+        d = Decimal(text, Context(traps=[]))  # NaN, not an exception, for junk
+        if not (text.isascii() and "_" not in text and d.is_finite()
+                and abs(d.as_tuple().exponent) <= _EXACT_EXPONENT):
             return mpf(text)
-        sign, m, k = literal
+        # copy_abs, not abs: abs rounds to the context's 28 digits
+        sign, (m, den) = int(d.is_signed()), d.copy_abs().as_integer_ratio()
+        den_bits = den.bit_length()
     if not m:
         return mp.make_mpf(fzero)  # mpmath has no -0
-    power = powers.get(k)
-    if power is None:
-        den = 10 ** k
-        power = powers[k] = den, den.bit_length()
-    den, den_bits = power
     prec = mp.prec
     s = max(0, prec + 3 + den_bits - m.bit_length())
     q, r = divmod(m << s, den)
@@ -614,13 +582,12 @@ def load_zero_table(
     ascending decimal ordinate per line, '#' comments and blank lines
     ignored, read one line at a time.  Each row is rounded once to nearest
     at that precision by exact integer division (_parse_ordinate): a row of
-    digits and a point, and any other ASCII decimal literal, signed or in
-    exponent form; nan, inf and other text go to mpf(row).  The powers of
-    ten the rows need are computed once per fraction length in each load.
-    The claimed accuracy, unless given, is the one stated by a first line
-    in write_zero_table's form, else 1e-10.  ZeroTable checks the order in
-    exact integers.  A ZeroTableError names the line of the first bad
-    ordinate (unparsable, not positive and finite, or not above the one
+    digits and a point (even past int()'s limit, if at least 1), and any other
+    form decimal.Decimal reads, signed or in exponent form; nan, inf and
+    other text go to mpf(row).  The claimed accuracy, unless given, is the
+    one stated by a first line in write_zero_table's form, else 1e-10.  A
+    ZeroTableError names the line of the first bad ordinate (unparsable,
+    shown to 60 characters; not positive and finite; or not above the one
     before); one is raised too if the count fails zero_count_check."""
     ordinates, line_numbers, header, powers = [], [], None, {}
     with workdps(precision + _GUARD):
@@ -634,7 +601,8 @@ def load_zero_table(
                 try:
                     ordinates.append(_parse_ordinate(text, powers))
                 except Exception:
-                    raise ZeroTableError(f"cannot parse ordinate {text!r}", lineno) from None
+                    clipped = text if len(text) <= 60 else text[:57] + "..."
+                    raise ZeroTableError(f"cannot parse ordinate {clipped!r}", lineno) from None
                 line_numbers.append(lineno)
         if claimed_accuracy is None:
             claimed_accuracy = header.group(1) if header else 1e-10
@@ -643,15 +611,20 @@ def load_zero_table(
         except ZeroTableError as exc:
             raise ZeroTableError(str(exc), line_numbers[exc.index]) from None
     if ordinates:
-        T = table.max_ordinate() + mpf(1) / 1000
+        T = float(table.max_ordinate() + mpf(1) / 1000)
         if not zero_count_check(table, T):
             raise ZeroTableError(
-                f"count check failed: {len(table)} ordinates up to {float(T)} "
-                f"vs estimate {float(_rvm_estimate(T)):.2f}")
+                f"count check failed: {len(table)} ordinates up to {T} "
+                f"vs estimate {_rvm_estimate(T):.2f}")
     return table
 
 
 TABLE_DIGITS = 15  # significant digits of each ordinate written to a table
+
+
+def table_rows(table: ZeroTable) -> list:
+    """The table's ordinates as text rows of TABLE_DIGITS digits each."""
+    return [mp.nstr(g, TABLE_DIGITS, strip_zeros=False) for g in table.ordinates]
 
 
 def _reads_back(texts, values) -> bool:
@@ -676,7 +649,7 @@ def write_zero_table(table: ZeroTable, path):
     the accuracy's nearest three digits if they read back as it (as a
     loaded header's do), else rounded up.  So an exported table's export
     is byte-identical to it."""
-    rows = [mp.nstr(g, TABLE_DIGITS, strip_zeros=False) for g in table.ordinates]
+    rows = table_rows(table)
     accuracy = table.claimed_accuracy
     stated = f"{float(accuracy):.2e}"
     rounding = 0

@@ -94,7 +94,17 @@ def test_sums_run_on_a_table_loaded_past_double_range(zeros_table):
     # a double holds; both sums must still run and agree with the 50-digit
     # table within their bounds
     deep = load_zero_table(ZEROS_FILE, claimed_accuracy=5e-12, precision=320)
-    assert deep.inverse_cube_bound >= zeros_table.inverse_cube_bound * (1 - mpf(2) ** -45)
+    # the claimed accuracy adds the same to lambda_1's bound at either
+    # precision: sum g^-3 is summed from each g's top 53 bits
+    grew = []
+    for table, precision in ((deep, 300), (zeros_table, 50)):
+        exact = ZeroTable(table.ordinates, table.source, mpf(0))
+        bounds = [li_lambda(1, t, precision=precision)[0].tail_bound.value
+                  for t in (table, exact)]
+        with workdps(80):
+            grew.append(bounds[0] - bounds[1])
+    with workdps(80):
+        assert abs(grew[0] - grew[1]) <= grew[1] * mpf(2) ** -45
     for n in (1, 10):
         a, b = li_lambda(n, deep, precision=300)[-1], li_lambda(n, zeros_table)[-1]
         with workdps(60):
@@ -103,6 +113,23 @@ def test_sums_run_on_a_table_loaded_past_double_range(zeros_table):
     a, b = zero_sum_p0(deep, precision=300), zero_sum_p0(zeros_table)
     with workdps(60):
         assert abs(a.value().value - b.value().value) <= a.tail_bound.value + b.tail_bound.value
+
+
+def test_sums_run_on_tables_outside_double_range(tmp_path):
+    # sum g^-3 in doubles, unscaled, divides by zero when g^3 underflows
+    # (a first row 1e-200) and overflows on an ordinate of 1e400
+    path = tmp_path / "tiny.txt"
+    with open(ZEROS_FILE, encoding="utf-8") as fh:
+        path.write_text("1e-200\n" + fh.read(), encoding="utf-8")
+    tiny = load_zero_table(path, claimed_accuracy=0)
+    huge = ZeroTable((mpf(14.134725), mpf("1e400")), "ingested", mpf("1e-10"))
+    for table in (tiny, huge):
+        for r in (*li_lambda(3, table), zero_sum_p0(table)):
+            assert mp.isfinite(r.tail_bound.value)
+    # the first term alone is 1e600: it is in the bound, not lost to a cap
+    g1, delta = mpf(1e-200), mpf(1e-210)
+    table = ZeroTable((g1, mpf(14)), "ingested", delta)
+    assert li_lambda(1, table)[0].tail_bound.value >= 2 * delta * g1 ** -3
 
 
 def test_li_lambda_single_zero():

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -279,6 +280,27 @@ def test_zero_count_check_edge_cases(computed_table_100):
     assert not zero_count_check(single, 100)
 
 
+def test_zero_count_check_matches_80_digit_comparison(zeros_table):
+    # the estimate in doubles gives the verdict an 80-digit one gives, at
+    # seeded heights, at every integer height and just above the table
+    rng = random.Random(25)
+    heights = [rng.uniform(1, 1000) for _ in range(20_000)] + list(range(1, 1001))
+    heights.append(float(zeros_table.max_ordinate() + mpf(1) / 1000))
+    with workdps(80):
+        for T in heights:
+            x = mpf(T) / (2 * mp.pi)
+            est = x * mp.ln(x) - x + mpf(7) / 8
+            expected = abs(zeros_table.count_below(T) - est) < 2
+            assert zero_count_check(zeros_table, T) is expected, T
+
+
+@pytest.mark.parametrize("T", [0, 0.0, -1, -1e-300, mpf(0), mpf(-5), math.nan])
+def test_zero_count_check_requires_positive_height(T):
+    table = ZeroTable((mpf(14),), "ingested", mpf(0))
+    with pytest.raises(DomainError):
+        zero_count_check(table, T)
+
+
 def test_table_invariants():
     good = (mpf(14.1), mpf(21.0))
     acc = mpf(1e-9)
@@ -538,6 +560,110 @@ def test_rows_round_once_in_every_form(dps, tmp_path):
     (g,) = load_zero_table(path, precision=dps - _GUARD).ordinates
     q = Fraction(tie)
     assert g._mpf_ == from_rational(q.numerator, q.denominator, prec, round_nearest)
+
+
+@pytest.mark.parametrize("dps", [17, 60, 322])
+def test_rows_past_the_int_digit_limit_round_once(dps, tmp_path):
+    # int() converts at most 4300 digits; a longer row at least 1 keeps
+    # prec + 1 fraction digits and a 1 for any nonzero digit dropped.  The
+    # tie 1 + 2^-prec followed by 5000 zeros rounds to even, and with a 1
+    # after the zeros rounds up
+    rng = random.Random(dps)
+    with workdps(dps):
+        prec = mp.prec
+        tie = _exact_decimal(2 ** prec + 1, prec)
+        rows = ["14." + "1" * 4400,
+                "14." + "".join(rng.choice("0123456789") for _ in range(10_000)),
+                tie + "0" * 5000, tie + "0" * 5000 + "1"]
+        once = [from_rational(*Decimal(text).as_integer_ratio(), prec, round_nearest)
+                for text in rows]  # Fraction(text) is past int()'s limit too
+        for text, value in zip(rows, once):
+            assert zeta_zeros._parse_ordinate(text, {})._mpf_ == value, text[:20]
+        assert zeta_zeros._parse_ordinate(rows[2], {}) == 1
+        assert zeta_zeros._parse_ordinate(rows[3], {}) == 1 + mpf(2) ** (1 - prec)
+    path = tmp_path / "long.txt"
+    path.write_text(rows[0] + "\n21.0220396387716\n", encoding="utf-8")
+    table = load_zero_table(path, precision=dps - _GUARD)
+    with workdps(dps):
+        assert table.ordinates[0]._mpf_ == once[0]
+
+
+def test_long_row_below_one_is_named_clipped(tmp_path):
+    # below 1 a rounding boundary may lie past any digit kept: the row still
+    # fails to parse, and the message shows no more than 60 characters of it
+    path = tmp_path / "small.txt"
+    path.write_text("0." + "3" * 5000 + "\n", encoding="utf-8")
+    with pytest.raises(ZeroTableError) as exc:
+        load_zero_table(path)
+    assert exc.value.line_number == 1
+    assert "cannot parse ordinate '0.333" in str(exc.value)
+    assert len(str(exc.value)) < 100
+
+
+def _row_corpus(n: int, seed: int) -> list:
+    """Seeded rows of every form: signs, points with digits on one side or
+    both, exponents up to and past the exact cap, underscores, non-ASCII
+    digits, nan and inf, and junk."""
+    rng = random.Random(seed)
+
+    def digits(k):
+        return "".join(rng.choice("0123456789") for _ in range(k))
+
+    special = ["nan", "inf", "-inf", "+inf", "Infinity", "NaN", "-nan", "sNaN", "1/2",
+               "0x10", "abc", "1e", "e5", "--1", "1..2", "1.2.3", ".", "", "1 2", "1e+-3",
+               "\u0661\u0664.\u0665", "\uff11\uff14.5", "1_4.5", "14.5_1e0"]
+    rows = []
+    for _ in range(n):
+        u = rng.random()
+        if u < 0.03:
+            rows.append(rng.choice(special))
+            continue
+        text = rng.choice(["", "", "+", "-"]) + digits(rng.choice([0, 1, 2, 5, 20]))
+        if rng.random() < 0.8:
+            text += "." + digits(rng.choice([0, 1, 3, 15, 40]))
+        if rng.random() < 0.5:
+            E = rng.choices([rng.randint(0, 30), rng.randint(0, 500), rng.randint(9_950, 10_050),
+                             rng.randint(14_950, 15_050), rng.randint(10 ** 5, 10 ** 6)],
+                            weights=[12, 6, 1, 1, 1])[0]
+            text += rng.choice("eE") + rng.choice(["", "+", "-"]) + str(E)
+        if u > 0.97 and text:
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(["_", "\u0663", "x", " "]) + text[i:]
+        rows.append(text)
+    return rows
+
+
+_CORPUS = _row_corpus(20_000, 2025)
+
+
+@pytest.mark.parametrize("dps", [17, 60, 322])
+def test_row_corpus_reads_exactly_or_as_mpf(dps):
+    # a row that is ASCII, has no underscore and is a finite Decimal of
+    # exponent within the cap is read as its exact value rounded once;
+    # every other row gives mpf(text)'s value or its exception
+    exact = 0
+    with workdps(dps):
+        prec = mp.prec
+        for text in _CORPUS:
+            try:
+                d = Decimal(text) if text.isascii() and "_" not in text else None
+            except ArithmeticError:
+                d = None
+            if d is not None and d.is_finite() and \
+                    abs(d.as_tuple().exponent) <= zeta_zeros._EXACT_EXPONENT:
+                exact += 1
+                q = Fraction(text)
+                once = from_rational(q.numerator, q.denominator, prec, round_nearest)
+                assert zeta_zeros._parse_ordinate(text, {})._mpf_ == once, text
+                continue
+            try:
+                expected = mpf(text)._mpf_
+            except Exception as exc:
+                with pytest.raises(type(exc)):
+                    zeta_zeros._parse_ordinate(text, {})
+            else:
+                assert zeta_zeros._parse_ordinate(text, {})._mpf_ == expected, text
+    assert len(_CORPUS) // 2 < exact < len(_CORPUS)
 
 
 def test_export_limit(tmp_path, computed_table_100):

@@ -8,11 +8,18 @@ computed tables, the only check on ingested ones).
 The count proof takes the signs of Z as given.  They come from the
 Euler-Maclaurin evaluation at the scan precision, which carries no
 certified error bound.  That evaluation runs in B-bit fixed point (Python
-integers): the main sum takes one cos_sin per prime and one complex product
-per composite, and is within 5 N log2(N) 2^-B < 2^-(prec+1) of its value,
-given mpmath's ln and cos_sin to a few ulps; the Bernoulli corrections are
-normalised by B_2k/(2k)! = (-1)^(k+1) 2 zeta(2k)/(2 pi)^(2k), so that every
-quantity in their recurrence is O(1).
+integers) from start to finish.  The main sum takes one cos_sin per prime,
+on raw mpfs rounded to nearest, and one complex product per composite; it
+is within 5 N log2(N) 2^-B of its value, given mpmath's ln and cos_sin to
+a few ulps, and its term of n = N, within 5 log2(N) 2^-B, is the N^-s of
+the Euler-Maclaurin tail.  The head N/(s-1) - 1/2 and the recurrence's
+steps e, u and v_1 are each one floor of an integer quotient of t 2^B and
+2^(2B)/(2 pi); main sum and tail together are within 2^(1-prec).  The
+Bernoulli corrections are normalised by
+B_2k/(2k)! = (-1)^(k+1) 2 zeta(2k)/(2 pi)^(2k), so that every quantity in
+their recurrence is O(1).  Z is then one floor of
+cos(theta) Re - sin(theta) Im, with theta's cos_sin rounded to nearest at
+the working precision, and one rounding to nearest at it.
 
 All zeros are represented by their positive ordinate gamma with the point
 taken as 1/2 + i*gamma; every known zero in the supported height range lies
@@ -30,7 +37,7 @@ from decimal import ROUND_CEILING, Context, Decimal
 from itertools import count
 
 from mpmath import mp, mpf, mpc, workdps, workprec
-from mpmath.libmp import MPZ, fzero
+from mpmath.libmp import MPZ, fzero, mpf_cos_sin, mpf_mul, pi_fixed, round_nearest
 
 from .numerics import (
     DEFAULT_PRECISION,
@@ -120,9 +127,10 @@ _em_coeff_cache: dict = {}
 
 
 def _prime_table(N: int) -> list:
-    """Cached (p, ln p, floor(2^prec / sqrt(p))) for the primes p <= N at
-    the current precision prec.  The primes come from a cached sieve,
-    extended to at least twice its old limit when N lies beyond it.
+    """Cached (p, ln p as a raw mpf, floor(2^prec / sqrt(p))) for the
+    primes p <= N at the current precision prec.  The primes come from a
+    cached sieve, extended to at least twice its old limit when N lies
+    beyond it.
 
     Keyed by mp.prec: binary precisions 60 and 61 both read as dps 17.
     """
@@ -139,7 +147,7 @@ def _prime_table(N: int) -> list:
     K = bisect_right(_primes, N)
     tab = _prime_cache.setdefault(mp.prec, [])
     for p in _primes[len(tab):K]:
-        tab.append((p, mp.ln(p), math.isqrt((1 << 2 * mp.prec) // p)))
+        tab.append((p, mp.ln(p)._mpf_, math.isqrt((1 << 2 * mp.prec) // p)))
     return tab[:K]
 
 
@@ -152,13 +160,17 @@ def _em_coefficients(k: int, B: int) -> list:
     if len(tab) < k:
         with workprec(B + 10):
             while len(tab) < k:
-                tab.append(_fixed(2 * mp.zeta(2 * len(tab) + 2), B))
+                tab.append(_fixed((2 * mp.zeta(2 * len(tab) + 2))._mpf_, B))
     return tab
 
 
-def _fixed(x: mpf, B: int) -> int:
-    """x 2^B truncated to an integer."""
-    return int(mp.ldexp(x, B))
+def _fixed(x: tuple, B: int) -> int:
+    """The raw mpf x = (sign, man, exp, bc) times 2^B, truncated toward
+    zero to an integer: int(mp.ldexp(mpf(x), B)) without building an mpf."""
+    sign, man, exp, _ = x
+    exp += B
+    man = man << exp if exp >= 0 else man >> -exp
+    return -man if sign else man
 
 
 def _mul(x: tuple, y: tuple, B: int) -> tuple:
@@ -170,15 +182,18 @@ def _mul(x: tuple, y: tuple, B: int) -> tuple:
 
 
 def _main_sum(t: mpf, N: int, B: int) -> tuple:
-    """sum_{n<=N} n^(-1/2-it) as a pair of B-bit fixed-point integers, for
-    a current precision of at least B + bitlen(floor(t ln N)) + 4 bits.
+    """sum_{n<=N} n^(-1/2-it) and the term N^(-1/2-it), as pairs of B-bit
+    fixed-point integers, for a current precision of at least
+    B + bitlen(floor(t ln N)) + 4 bits.
 
     n -> n^(-1/2-it) is completely multiplicative, so only the primes need
-    a cos_sin: each prime term p^(-1/2) e^(-it ln p) is evaluated at the
-    current precision and cut to B bits.  Every other term is one complex
-    product of the term of its largest prime factor p and the term of n/p,
-    walking the tree of nondecreasing prime factorisations with only the
-    current chain held.
+    a cos_sin: each prime term p^(-1/2) e^(-it ln p) is evaluated on raw
+    mpfs at the current precision, rounded to nearest (the rounding of
+    mp.cos_sin(t * ln_p), bit for bit), and cut to B bits.  Every other
+    term is one complex product of the term of its largest prime factor p
+    and the term of n/p, walking the tree of nondecreasing prime
+    factorisations with only the current chain held; the term of N is
+    recorded on the way, and is (2^B, 0) for N = 1.
 
     Rounding, taking mpmath's ln and cos_sin to be good to a few ulps: the
     phase t ln p is then within 2^-(B+3), so each prime term is within
@@ -188,11 +203,13 @@ def _main_sum(t: mpf, N: int, B: int) -> tuple:
     5 N log2(N) 2^-B.
     """
     W = mp.prec
+    t = t._mpf_
     terms = []
     for p, ln_p, rsqrt in _prime_table(N):
-        c, si = mp.cos_sin(t * ln_p)
+        c, si = mpf_cos_sin(mpf_mul(t, ln_p, W, round_nearest), W, round_nearest)
         terms.append((p, rsqrt * _fixed(c, B) >> W, -(rsqrt * _fixed(si, B) >> W)))
     sr, si = 1 << B, 0  # the term of n = 1
+    last = sr, si  # the term of n = N
     stack = [(1, 1 << B, 0, 0)]  # (n, its term, index of its largest prime)
     while stack:
         n, a, b, i = stack.pop()
@@ -207,12 +224,15 @@ def _main_sum(t: mpf, N: int, B: int) -> tuple:
             si += d
             if p * p <= lim:
                 stack.append((n * p, c, d, j))
-    return sr, si
+            elif n * p == N:
+                last = c, d
+    return (sr, si), last
 
 
-def _zeta_half_raw(t: mpf) -> mpc:
-    """zeta(1/2 + it) by Euler-Maclaurin with Bernoulli corrections, in
-    B-bit fixed point with B = prec + bitlen(N) + bitlen(bitlen(N)) + 4.
+def _zeta_half_raw(t: mpf) -> tuple:
+    """zeta(1/2 + it) by Euler-Maclaurin with Bernoulli corrections, as
+    (re, im, B): a pair of B-bit fixed-point integers and
+    B = prec + bitlen(N) + bitlen(bitlen(N)) + 4.
 
     zeta(s) = sum_{n<=N} n^-s + N^-s (N/(s-1) - 1/2 + sum_k c_k), with
     c_k = B_2k/(2k)! s(s+1)...(s+2k-2) N^(1-2k) = (-1)^(k+1) 2 zeta(2k) v_k
@@ -221,11 +241,22 @@ def _zeta_half_raw(t: mpf) -> mpc:
     quantity O(1), where the raw B_2k/(2k)! would lose ~2k bits a step.
     N^-s multiplies the bracket, never a single correction.
 
-    Rounding: the main sum is within 5 N log2(N) 2^-B < 2^-(prec+1) (see
-    _main_sum), and each step of the recurrence adds O(k) floors of 2^-B.
-    The corrections stop once a term N^-s c_k is below eps |total|, or at
-    the smallest term once they turn around (ArithmeticError if that term
-    is still above 1000 eps max(|total|, 1)).
+    Only the prime phases of the main sum leave the integers.  N^-s is the
+    main sum's own term of n = N.  The rest comes from T = t 2^B truncated
+    (exact for every t of at most prec bits above 2^(prec-B)) and
+    R = 2^(2B)/(2 pi) to within one unit: N/(s-1) - 1/2 =
+    -N (1/2 + it)/(1/4 + t^2) - 1/2, e = 1/(2 pi N), u = t/(2 pi N) and
+    v_1 = s/(N (2 pi)^2) are each one floor of an integer quotient, within
+    2^-B (plus at most t 2^-2B from R) of its value at T.
+
+    Rounding: the main sum is within 5 N log2(N) 2^-B and N^-s within
+    5 Omega(N) 2^-B <= 5 log2(N) 2^-B (see _main_sum).  Times the bracket,
+    at most 2N + 1 in modulus, N^-s adds at most 15 N log2(N) 2^-B, so the
+    two stay below 20 N log2(N) 2^-B < 2^(1-prec).  Each step of the
+    recurrence adds O(k) floors of 2^-B.  The corrections stop once a term
+    N^-s c_k is below eps |total|, or at the smallest term once they turn
+    around (ArithmeticError if that term is still above
+    1000 eps max(|total|, 1)).
     """
     # the per-term ratio of the corrections is roughly ((2k + t)/(2 pi N))^2,
     # which N >= 3t/(2 pi) keeps below 1/9 at first; the smallest term is
@@ -239,15 +270,13 @@ def _zeta_half_raw(t: mpf) -> mpc:
     B = mp.prec + L + L.bit_length() + 4
     inv_eps2 = 10 ** (2 * (mp.dps - 2))  # 1/eps^2, eps = 10^-(dps-2)
     with workprec(B + int(tf * math.log(N)).bit_length() + 4):
-        main = _main_sum(t, N, B)
-        s = mpc(mpf(1) / 2, t)
-        n_pow_minus_s = mp.exp(-s * mp.ln(N))
-        ns = _fixed(n_pow_minus_s.real, B), _fixed(n_pow_minus_s.imag, B)
-        head = N / (s - 1) - mpf(1) / 2
-        bracket = _fixed(head.real, B), _fixed(head.imag, B)
-        e, u = _fixed(1 / (2 * mp.pi * N), B), _fixed(t / (2 * mp.pi * N), B)
-        v1 = s / (N * (2 * mp.pi) ** 2)
-        v = _fixed(v1.real, B), _fixed(v1.imag, B)
+        main, ns = _main_sum(t, N, B)
+    T = _fixed(t._mpf_, B)
+    R = (1 << 4 * B - 1) // pi_fixed(2 * B)  # 2^(2B)/(2 pi); pi_fixed(P) = floor(pi 2^P)
+    D = T * T + (1 << 2 * B - 2)  # (1/4 + t^2) 2^(2B)
+    bracket = -(N << 3 * B - 1) // D - (1 << B - 1), -(N * T << 2 * B) // D
+    e, u = (R >> B) // N, (T * R >> 2 * B) // N
+    v = (R * R >> 3 * B + 1) // N, (T * R * R >> 4 * B) // N
 
     def total_of(bracket):
         x, y = _mul(ns, bracket, B)
@@ -273,7 +302,7 @@ def _zeta_half_raw(t: mpf) -> mpc:
         bracket, total, prev = with_c, total_c, mag
         v = _mul(v, ((4 * k - 1) * e >> 1, u), B)
         v = _mul(v, ((4 * k + 1) * e >> 1, u), B)
-    return mpc(mp.ldexp(total[0], -B), mp.ldexp(total[1], -B))
+    return total[0], total[1], B
 
 
 def _theta_raw(t: mpf) -> mpf:
@@ -283,10 +312,14 @@ def _theta_raw(t: mpf) -> mpf:
 
 
 def _hardy_z_raw(t: mpf) -> mpf:
-    z = _zeta_half_raw(t)
-    theta = _theta_raw(t)
-    c, si = mp.cos_sin(theta)
-    return (mpc(c, si) * z).real
+    """Z(t) = Re(e^(i theta) zeta(1/2 + it)) at the current precision prec:
+    cos theta and sin theta rounded to nearest at prec and cut to B bits,
+    one floor of (cos theta Re - sin theta Im) 2^-B, and one rounding to
+    nearest at prec."""
+    re, im, B = _zeta_half_raw(t)
+    c, si = mpf_cos_sin(_theta_raw(t)._mpf_, mp.prec, round_nearest)
+    z = _fixed(c, B) * re - _fixed(si, B) * im >> B
+    return mp.ldexp(z, -B)
 
 
 def hardy_z(t, precision: int = DEFAULT_PRECISION) -> ExtendedReal:

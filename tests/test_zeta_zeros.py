@@ -63,29 +63,53 @@ def test_hardy_z_caches_keyed_by_binary_precision(monkeypatch):
 
 
 @pytest.mark.parametrize("precision", [30, 50, 300])
-@pytest.mark.parametrize("t", ["1", "14.0", "100.7", "150", "981.3", "5000"])
+@pytest.mark.parametrize("t", ["1", "14.0", "100.7", "150", "981.3", "5000", "9999"])
 def test_hardy_z_matches_siegelz(t, precision):
     # mp.siegelz is Riemann-Siegel, an independent method; at 300 digits
     # the precision term of the cutoff sets N for t below ~500, and at
-    # t = 150 it needs the (pi/2) t in it
+    # t = 150 it needs the (pi/2) t in it; near the supported height t's
+    # fixed-point form has 14 integer bits, and the Euler-Maclaurin head
+    # and the steps e and u are at their largest
     z = hardy_z(t, precision)
     with workdps(precision + _GUARD):
         assert abs(z.value - mp.siegelz(mpf(t))) < mpf(10) ** (2 - precision)
 
 
-@pytest.mark.parametrize("N", [1, 2, 12, 97, 256, 360])
+def test_fixed_truncates_toward_zero_like_ldexp():
+    # exponents on both sides of -B, mantissas wider than B, both signs and 0
+    rng = random.Random(20261020)
+    B = 70
+    with workprec(4 * B):
+        xs = [mpf(0), mpf(1), mpf(-1), mpf(2) ** -B, -mpf(2) ** -(B + 1)]
+        for _ in range(2000):
+            bits = rng.choice([1, 5, 53, B - 1, B, B + 1, 3 * B])
+            man = rng.getrandbits(bits) | 1
+            exp = -B + rng.randint(-2 * bits - 5, B)
+            xs.append(mp.ldexp(mpf(rng.choice([man, -man])), exp))
+        assert max(x._mpf_[3] for x in xs) > B
+        for x in xs:
+            assert zeta_zeros._fixed(x._mpf_, B) == int(mp.ldexp(x, B)), x
+
+
+_OMEGA = {1: 0, 2: 1, 12: 3, 97: 1, 256: 8, 360: 6}  # prime factors, with multiplicity
+
+
+@pytest.mark.parametrize("N", sorted(_OMEGA))
 @pytest.mark.parametrize("t", ["14.0", "981.3"])
 def test_main_sum_matches_direct_sum(t, N):
     B = 70
     t = mpf(t)
     with workprec(B + int(float(t) * math.log(N)).bit_length() + 4):
-        sr, si = zeta_zeros._main_sum(t, N, B)
+        (sr, si), (nr, ni) = zeta_zeros._main_sum(t, N, B)
     with workprec(2 * B + 40):
         s = mpc(mpf(1) / 2, t)
         direct = sum(mp.power(n, -s) for n in range(1, N + 1))
         got = mpc(mp.ldexp(sr, -B), mp.ldexp(si, -B))
-        # the bound in _main_sum's docstring
+        # the bounds in _main_sum's docstring: the sum, and the term of N,
+        # within 5 Omega(N) 2^-B (Omega(1) = 0: the term 2^B is exact)
         assert abs(got - direct) <= 5 * N * math.log2(N) * mpf(2) ** -B
+        term = mpc(mp.ldexp(nr, -B), mp.ldexp(ni, -B))
+        assert abs(term - mp.power(N, -s)) <= 5 * _OMEGA[N] * mpf(2) ** -B
 
 
 def _zeta_half_termwise(t):

@@ -21,6 +21,14 @@ their recurrence is O(1).  Z is then one floor of
 cos(theta) Re - sin(theta) Im, with theta's cos_sin rounded to nearest at
 the working precision, and one rounding to nearest at it.
 
+Doubles only choose where that Z is evaluated.  The finder predicts each
+zero by regula falsi on an Euler-Maclaurin Z in complex doubles with a
+Stirling theta, then evaluates the exact Z at the prediction plus and
+minus a quarter of the refinement width: a hit leaves a sign change
+across half that width, and only a miss is refined further.  The Gram
+points likewise start from Newton in doubles and end with Newton on the
+exact theta.
+
 All zeros are represented by their positive ordinate gamma with the point
 taken as 1/2 + i*gamma; every known zero in the supported height range lies
 on the critical line, and this is the only representation the downstream
@@ -34,7 +42,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Context, Decimal
-from itertools import count
+from itertools import count, repeat
 
 from mpmath import mp, mpf, mpc, workdps, workprec
 from mpmath.libmp import MPZ, fzero, mpf_cos_sin, mpf_mul, pi_fixed, round_nearest
@@ -322,6 +330,71 @@ def _hardy_z_raw(t: mpf) -> mpf:
     return mp.ldexp(z, -B)
 
 
+# ---------------------------------------------------------------------------
+# Hardy Z in doubles: the finder's predictor, which decides nothing
+
+# theta's Stirling coefficients (1 - 2^(1-2k)) |B_2k| / (4k (2k-1)), k = 1..6
+_THETA_STIRLING = (1 / 48, 7 / 5760, 31 / 80640, 127 / 430080, 511 / 1216512,
+                   1414477 / 1476034560)
+
+# B_2k/(2k)! for k = 1..42, enough for the corrections of _hardy_z_float to
+# fall below 1e-16 at every t up to SUPPORTED_HEIGHT
+_BERNOULLI_FLOAT = (
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+    3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24,
+    -5.744790668872202e-26, 1.455172475614865e-27, -3.6859949406653103e-29,
+    9.336734257095045e-31, -2.36502241570063e-32, 5.990671762482134e-34,
+    -1.5174548844682903e-35, 3.843758125454189e-37, -9.736353072646691e-39,
+    2.466247044200681e-40, -6.247076741820743e-42, 1.5824030244644914e-43,
+    -4.008273685948936e-45, 1.0153075855569557e-46, -2.5718041582418717e-48,
+    6.514456035233815e-50, -1.6501309906896525e-51, 4.179830628539476e-53,
+    -1.058763466770291e-54, 2.6818791912607708e-56, -6.793279351107421e-58,
+    1.7207577616681404e-59, -4.358730329348894e-61, 1.1040792903684666e-62,
+    -2.7966655133781345e-64, 7.084036501679471e-66, -1.794407408289224e-67,
+)
+
+
+def _theta_float(t: float) -> float:
+    """Riemann-Siegel theta in doubles by its Stirling series
+    t/2 ln(t/(2 pi)) - t/2 - pi/8 + 1/(48 t) + 7/(5760 t^3) + ..., six
+    terms in 1/t: within 1e-13 + 1e-15 |theta(t)| of theta for
+    g_-1 ~ 9.667 <= t <= SUPPORTED_HEIGHT (the seventh term is below 1e-15
+    there, and the rest is rounding)."""
+    x = 1 / t
+    x2 = x * x
+    series = 0.0
+    for c in reversed(_THETA_STIRLING):
+        series = series * x2 + c
+    return t / 2 * math.log(t / (2 * math.pi)) - t / 2 - math.pi / 8 + series * x
+
+
+def _hardy_z_float(t: float) -> float:
+    """Z(t) in complex doubles, for choosing where the exact Z is evaluated:
+    Euler-Maclaurin as in _zeta_half_raw with N = floor(t/4) + 8, each
+    n^-s a complex power, the corrections B_2k/(2k)! s(s+1)...(s+2k-2)
+    N^(1-2k) taken until one is below 1e-16, and the rotation by
+    _theta_float.  The phases t ln n and theta are rounded at up to
+    t ln t, so the error grows with t: within 1e-13 + 5e-15 t of Z(t) for
+    g_-1 ~ 9.667 <= t <= SUPPORTED_HEIGHT, measured, not proven."""
+    N = int(t / 4) + 8
+    s = complex(0.5, t)
+    terms = list(map(pow, range(1, N + 1), repeat(-s)))
+    tail = N / (s - 1) - 0.5
+    w = s / N  # s(s+1)...(s+2k-2) N^(1-2k)
+    for k, b in enumerate(_BERNOULLI_FLOAT, 1):
+        c = b * w
+        tail += c
+        if abs(c) < 1e-16:
+            break
+        w *= (s + 2 * k - 1) * (s + 2 * k) / (N * N)
+    zeta = sum(terms) + terms[-1] * tail
+    theta = _theta_float(t)
+    return math.cos(theta) * zeta.real - math.sin(theta) * zeta.imag
+
+
 def hardy_z(t, precision: int = DEFAULT_PRECISION) -> ExtendedReal:
     """The real-valued Hardy Z function; its sign changes locate zeros."""
     tv = ExtendedReal(t, precision)
@@ -355,12 +428,13 @@ REFINE_TOL = 1e-9  # width of a refined bracket, a computed table's claimed accu
 REFINE_MAX_EVALS = 100
 
 
-def _anderson_bjorck(f_new: mpf, f_old: mpf) -> mpf:
+def _anderson_bjorck(f_new, f_old):
     """The factor g = 1 - f_new/f_old for the value at the end kept twice,
     where f_new replaces f_old at the other end; 1/2 when g <= 0 or
-    f_old = 0 (a secant point that hit the zero exactly)."""
+    f_old = 0 (a secant point that hit the zero exactly).  mpf values give
+    an mpf, doubles a double."""
     g = 1 - f_new / f_old if f_old else 0
-    return g if g > 0 else mpf(1) / 2
+    return g if g > 0 else 0.5
 
 
 def _refine(z, lo: float, hi: float, z_lo: mpf, z_hi: mpf, tol: float) -> mpf:
@@ -373,6 +447,10 @@ def _refine(z, lo: float, hi: float, z_lo: mpf, z_hi: mpf, tol: float) -> mpf:
     bracket shrinks on every evaluation and closes once the secant estimate
     is within tol/4 of the zero.  Raises ArithmeticError if the bracket is
     still wider than tol after REFINE_MAX_EVALS evaluations.
+
+    find_zeros passes the sub-bracket left by its two exact evaluations
+    around a predicted zero: one no wider than tol when the prediction hit,
+    returned with no evaluation, else the narrowed bracket of a miss.
     """
     a, b, fa, fb = mpf(lo), mpf(hi), z_lo, z_hi
     margin = mpf(tol) / 4
@@ -398,6 +476,31 @@ def _refine(z, lo: float, hi: float, z_lo: mpf, z_hi: mpf, tol: float) -> mpf:
         f"in {REFINE_MAX_EVALS} evaluations")
 
 
+def _predict_zero(lo, hi, z_lo, z_hi) -> float:
+    """Where the zero of a sign-change bracket of Z probably lies: regula
+    falsi with the Anderson-Bjorck modification on _hardy_z_float, in
+    doubles, from the exact end values, until two successive secant
+    estimates agree to 1e-11 (at most REFINE_MAX_EVALS evaluations).
+    The estimate decides nothing; it only says where to evaluate Z."""
+    a, b, fa, fb = float(lo), float(hi), float(z_lo), float(z_hi)
+    x = moved = None  # the last estimate; the end that moved last
+    for _ in range(REFINE_MAX_EVALS):
+        m = b - fb * (b - a) / (fb - fa)
+        if x is not None and abs(m - x) <= 1e-11:
+            break
+        x = m
+        fm = _hardy_z_float(m)
+        if (fa < 0) != (fm < 0):
+            if moved == "b":
+                fa *= _anderson_bjorck(fm, fb)
+            b, fb, moved = m, fm, "b"
+        else:
+            if moved == "a":
+                fb *= _anderson_bjorck(fm, fa)
+            a, fa, moved = m, fm, "a"
+    return m
+
+
 GRAM_NEWTON_MAX = 12
 BLOCK_SEARCH_EVALS = 24
 
@@ -407,15 +510,24 @@ def _gram_points():
     at the working precision; g_-1 ~ 9.667 is the larger root of
     theta = -pi.
 
-    Each is found by Newton on _theta_raw with theta'(t) ~ ln(t/2pi)/2 -
-    1/(48 t^2), started from the previous point plus 2 pi / ln(g/2pi), and
-    stops once a step is below 2^(10 - prec) g.
+    Each is found by Newton with theta'(t) ~ ln(t/2pi)/2 - 1/(48 t^2),
+    started from the previous point plus 2 pi / ln(g/2pi): first in doubles
+    on _theta_float, until a step is below 1e-12 g, then in mpf on
+    _theta_raw, until a step is below 2^(10 - prec) g.  The double start is
+    within ~1e-15 g, so the mpf loop usually stops after one evaluation;
+    the point it returns is decided by _theta_raw alone.
     """
     ln_2pi = mp.ln(2 * mp.pi)
     rel = mpf(2) ** (10 - mp.prec)
-    n, g = -1, mpf(10)
+    n, x = -1, 10.0
     while True:
-        target = n * mp.pi
+        for _ in range(GRAM_NEWTON_MAX):
+            step = (_theta_float(x) - n * math.pi) / (
+                math.log(x / (2 * math.pi)) / 2 - 1 / (48 * x * x))
+            x -= step
+            if abs(step) <= 1e-12 * x:
+                break
+        g, target = mpf(x), n * mp.pi
         for _ in range(GRAM_NEWTON_MAX):
             slope = (mp.ln(g) - ln_2pi) / 2 - 1 / (48 * g * g)
             step = (_theta_raw(g) - target) / slope
@@ -423,7 +535,8 @@ def _gram_points():
             if abs(step) <= rel * g:
                 break
         yield n, g
-        g += 2 * mp.pi / (mp.ln(g) - ln_2pi)
+        x = float(g)
+        x += 2 * math.pi / math.log(x / (2 * math.pi))
         n += 1
 
 
@@ -473,9 +586,20 @@ def find_zeros(t_max) -> ZeroTable:
     t_max are refined: one Z(t_max) says on which side of t_max the zero of
     a straddling bracket lies.
 
+    Each bracket to refine first gets a predicted zero x from
+    _predict_zero, in doubles, which decides nothing.  Z is then evaluated
+    exactly at x -+ REFINE_TOL/4, x clamped REFINE_TOL/2 inside the
+    bracket, and _refine gets the one of the three sub-brackets across
+    which Z changes sign: when the prediction hit, the middle one, no wider
+    than REFINE_TOL, which it returns with no evaluation; when it missed,
+    an end one, which it narrows by regula falsi from there.  A miss costs
+    those two evaluations; a prediction outside the bracket (or NaN) skips
+    them.
+
     Each ordinate is the midpoint of a bracket no wider than REFINE_TOL
     across which Z changes sign, and REFINE_TOL is the table's claimed
-    accuracy.  Proven: the count, given the signs of Z.
+    accuracy.  Every sign, bracket end and Gram point is decided in mpf.
+    Proven: the count, given the signs of Z.
     Not proven: the signs themselves, which rest on the Euler-Maclaurin
     evaluation at the scan precision without an error bound.  Brent's
     constants also rest on Lehman's bound for the integral of S(t), which
@@ -513,6 +637,7 @@ def find_zeros(t_max) -> ZeroTable:
             if past >= 0.0061 * ln_g * ln_g + 0.08 * ln_g:
                 break
         ordinates = []
+        margin = mpf(REFINE_TOL) / 4
         for lo, hi, z_lo, z_hi in below:
             if lo >= t_max:
                 break
@@ -521,6 +646,14 @@ def find_zeros(t_max) -> ZeroTable:
                 z_hi = z(hi)
                 if (z_lo < 0) == (z_hi < 0):
                     break  # the zero lies above t_max
+            if hi - lo > REFINE_TOL:
+                x = _predict_zero(lo, hi, z_lo, z_hi)
+                if lo < x < hi:  # False for NaN
+                    c = min(max(mpf(x), lo + 2 * margin), hi - 2 * margin)
+                    pts = [(lo, z_lo), (c - margin, z(c - margin)),
+                           (c + margin, z(c + margin)), (hi, z_hi)]
+                    (lo, z_lo), (hi, z_hi) = next(
+                        (p, q) for p, q in zip(pts, pts[1:]) if (p[1] < 0) != (q[1] < 0))
             ordinates.append(_refine(z, lo, hi, z_lo, z_hi, REFINE_TOL))
         table = ZeroTable(tuple(ordinates), "computed", mpf(REFINE_TOL))
         if not zero_count_check(table, t_max):

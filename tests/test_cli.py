@@ -437,7 +437,7 @@ def test_zeros_find_height_from_env(capsys, monkeypatch):
     monkeypatch.setenv("ZETASUM_HEIGHT", "20")
     code, out, _ = run(capsys, "zeros", "find")
     assert code == EXIT_PASS
-    assert out.splitlines() == ["14.1347251418597"]
+    assert out.splitlines() == ["14.1347251417347"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -75,6 +75,32 @@ def test_hardy_z_matches_siegelz(t, precision):
         assert abs(z.value - mp.siegelz(mpf(t))) < mpf(10) ** (2 - precision)
 
 
+def _float_grid():
+    """Seeded heights over [g_-1, SUPPORTED_HEIGHT], with g_-1, 9.67, 9999
+    and more of them low, where the Stirling series is truncated most."""
+    rng = random.Random(20261027)
+    with workdps(17):
+        g_1 = float(next(zeta_zeros._gram_points())[1])
+    return ([g_1, 9.67, 9999.0, SUPPORTED_HEIGHT]
+            + [rng.uniform(g_1, 50) for _ in range(20)]
+            + [rng.uniform(g_1, SUPPORTED_HEIGHT) for _ in range(30)])
+
+
+def test_theta_float_within_stated_bound():
+    with workdps(30):
+        for t in _float_grid():
+            exact = zeta_zeros._theta_raw(mpf(t))
+            bound = 1e-13 + 1e-15 * abs(float(exact))
+            assert abs(zeta_zeros._theta_float(t) - exact) <= bound, t
+
+
+def test_hardy_z_float_within_stated_bound():
+    with workdps(30):
+        for t in _float_grid():
+            exact = zeta_zeros._hardy_z_raw(mpf(t))
+            assert abs(zeta_zeros._hardy_z_float(t) - exact) <= 1e-13 + 5e-15 * t, t
+
+
 def test_fixed_truncates_toward_zero_like_ldexp():
     # exponents on both sides of -B, mantissas wider than B, both signs and 0
     rng = random.Random(20261020)
@@ -207,7 +233,7 @@ def test_find_zeros_100_evaluation_budget(monkeypatch):
     # the finder looks _hardy_z_raw up by name, so the wrapper sees every call
     z_calls = _count_calls(monkeypatch, "_hardy_z_raw")
     assert len(find_zeros(100)) == 29
-    assert 0 < len(z_calls) <= 220
+    assert 0 < len(z_calls) <= 95
 
 
 def _assert_matches_table(table, zeros_table, count):
@@ -225,8 +251,28 @@ def test_find_zeros_150_no_rescan(monkeypatch, zeros_table):
     table = find_zeros(150)
     # one Gram-point scan; the count check runs once, as a cross-check
     assert len(checks) == 1
-    assert len(z_calls) <= 390
+    assert len(z_calls) <= 165
     _assert_matches_table(table, zeros_table, 52)
+
+
+@pytest.mark.parametrize("float_z", [
+    lambda z: (lambda t: z(t + 1e-6)),  # every prediction 1e-6 off its zero
+    lambda z: (lambda t: z(t - 1e-3)),
+    lambda z: (lambda t: math.nan),  # no prediction inside the bracket
+], ids=["off-1e-6", "off-1e-3", "nan"])
+def test_find_zeros_survives_missed_predictions(monkeypatch, zeros_table, float_z):
+    # a missed prediction leaves _refine a bracket wider than REFINE_TOL;
+    # the zeros and their accuracy must not depend on the predictor
+    monkeypatch.setattr(zeta_zeros, "_hardy_z_float", float_z(zeta_zeros._hardy_z_float))
+    widths = []
+    refine = zeta_zeros._refine
+    monkeypatch.setattr(zeta_zeros, "_refine", lambda z, lo, hi, *a: (
+        widths.append(hi - lo) or refine(z, lo, hi, *a)))
+    z_calls = _count_calls(monkeypatch, "_hardy_z_raw")
+    table = find_zeros(100)
+    assert len(widths) == 29 and min(widths) > zeta_zeros.REFINE_TOL
+    assert len(z_calls) <= 220
+    _assert_matches_table(table, zeros_table, 29)
 
 
 def test_find_zeros_300_gram_law_failures(zeros_table):

@@ -21,13 +21,16 @@ their recurrence is O(1).  Z is then one floor of
 cos(theta) Re - sin(theta) Im, with theta's cos_sin rounded to nearest at
 the working precision, and one rounding to nearest at it.
 
-Doubles only choose where that Z is evaluated.  The finder predicts each
-zero by regula falsi on an Euler-Maclaurin Z in complex doubles with a
-Stirling theta, then evaluates the exact Z at the prediction plus and
-minus a quarter of the refinement width: a hit leaves a sign change
-across half that width, and only a miss is refined further.  The Gram
-points likewise start from Newton in doubles and end with Newton on the
-exact theta.
+Doubles only choose where that Z is evaluated.  One regula falsi loop
+serves both arithmetics.  The finder runs it in doubles on an
+Euler-Maclaurin Z in complex doubles with a Stirling theta to predict
+each zero, then evaluates the exact Z at the prediction plus and minus a
+quarter of the refinement width: a hit leaves a sign change across half
+that width, and only a miss is refined further, by the same loop in mpf.
+One Newton step likewise finds each Gram point, first on theta in
+doubles, then on the exact theta.  The doubles' Bernoulli and Stirling
+coefficients are derived from mp.bernfrac on first use, each an exact
+fraction rounded once.
 
 All zeros are represented by their positive ordinate gamma with the point
 taken as 1/2 + i*gamma; every known zero in the supported height range lies
@@ -42,6 +45,8 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Context, Decimal
+from fractions import Fraction
+from functools import cache
 from itertools import count, repeat
 
 from mpmath import mp, mpf, mpc, workdps, workprec
@@ -333,28 +338,17 @@ def _hardy_z_raw(t: mpf) -> mpf:
 # ---------------------------------------------------------------------------
 # Hardy Z in doubles: the finder's predictor, which decides nothing
 
-# theta's Stirling coefficients (1 - 2^(1-2k)) |B_2k| / (4k (2k-1)), k = 1..6
-_THETA_STIRLING = (1 / 48, 7 / 5760, 31 / 80640, 127 / 430080, 511 / 1216512,
-                   1414477 / 1476034560)
-
-# B_2k/(2k)! for k = 1..42, enough for the corrections of _hardy_z_float to
-# fall below 1e-16 at every t up to SUPPORTED_HEIGHT
-_BERNOULLI_FLOAT = (
-    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
-    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
-    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
-    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
-    3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24,
-    -5.744790668872202e-26, 1.455172475614865e-27, -3.6859949406653103e-29,
-    9.336734257095045e-31, -2.36502241570063e-32, 5.990671762482134e-34,
-    -1.5174548844682903e-35, 3.843758125454189e-37, -9.736353072646691e-39,
-    2.466247044200681e-40, -6.247076741820743e-42, 1.5824030244644914e-43,
-    -4.008273685948936e-45, 1.0153075855569557e-46, -2.5718041582418717e-48,
-    6.514456035233815e-50, -1.6501309906896525e-51, 4.179830628539476e-53,
-    -1.058763466770291e-54, 2.6818791912607708e-56, -6.793279351107421e-58,
-    1.7207577616681404e-59, -4.358730329348894e-61, 1.1040792903684666e-62,
-    -2.7966655133781345e-64, 7.084036501679471e-66, -1.794407408289224e-67,
-)
+@cache
+def _float_coefficients() -> tuple:
+    """theta's Stirling coefficients (1 - 2^(1-2k)) |B_2k| / (4k (2k-1)) for
+    k = 1..6, and B_2k/(2k)! for k = 1..42, enough for the corrections of
+    _hardy_z_float to fall below 1e-16 at every t up to SUPPORTED_HEIGHT:
+    each an exact Fraction from mp.bernfrac rounded once to a double."""
+    bernoulli = [Fraction(*mp.bernfrac(2 * k)) for k in range(1, 43)]
+    stirling = [(1 - Fraction(2, 4 ** k)) * abs(b) / (4 * k * (2 * k - 1))
+                for k, b in enumerate(bernoulli[:6], 1)]
+    return (tuple(map(float, stirling)),
+            tuple(float(b / math.factorial(2 * k)) for k, b in enumerate(bernoulli, 1)))
 
 
 def _theta_float(t: float) -> float:
@@ -366,7 +360,7 @@ def _theta_float(t: float) -> float:
     x = 1 / t
     x2 = x * x
     series = 0.0
-    for c in reversed(_THETA_STIRLING):
+    for c in reversed(_float_coefficients()[0]):
         series = series * x2 + c
     return t / 2 * math.log(t / (2 * math.pi)) - t / 2 - math.pi / 8 + series * x
 
@@ -384,7 +378,7 @@ def _hardy_z_float(t: float) -> float:
     terms = list(map(pow, range(1, N + 1), repeat(-s)))
     tail = N / (s - 1) - 0.5
     w = s / N  # s(s+1)...(s+2k-2) N^(1-2k)
-    for k, b in enumerate(_BERNOULLI_FLOAT, 1):
+    for k, b in enumerate(_float_coefficients()[1], 1):
         c = b * w
         tail += c
         if abs(c) < 1e-16:
@@ -428,20 +422,33 @@ REFINE_TOL = 1e-9  # width of a refined bracket, a computed table's claimed accu
 REFINE_MAX_EVALS = 100
 
 
-def _anderson_bjorck(f_new, f_old):
-    """The factor g = 1 - f_new/f_old for the value at the end kept twice,
-    where f_new replaces f_old at the other end; 1/2 when g <= 0 or
-    f_old = 0 (a secant point that hit the zero exactly).  mpf values give
-    an mpf, doubles a double."""
-    g = 1 - f_new / f_old if f_old else 0
-    return g if g > 0 else 0.5
+def _regula_falsi(z, a, b, fa, fb):
+    """Regula falsi on z with the Anderson-Bjorck modification (Anderson &
+    Bjorck, BIT 13, 1973), from a bracket a < b across which z changes sign,
+    in the arithmetic of the values given: mpf or doubles.
+
+    A generator: before each evaluation it yields the bracket and its secant
+    point (a, b, m), and it takes back by send the point x to evaluate, m or
+    m moved by the caller.  x replaces the end at which z has its sign.  When
+    the same end is replaced twice running, the value kept at the other end
+    is scaled by g = 1 - z(x)/f, f the value x replaces, or by 1/2 when
+    g <= 0 or f = 0 (a secant point that hit the zero exactly).  The caller
+    decides when to stop."""
+    t, f = [a, b], [fa, fb]
+    moved = None  # the end replaced last: 0 for a, 1 for b
+    while True:
+        x = yield t[0], t[1], t[1] - f[1] * (t[1] - t[0]) / (f[1] - f[0])
+        fx = z(x)
+        i = int((f[0] < 0) != (fx < 0))  # the end x replaces
+        if moved == i:
+            g = 1 - fx / f[i] if f[i] else 0
+            f[1 - i] *= g if g > 0 else 0.5
+        t[i], f[i], moved = x, fx, i
 
 
 def _refine(z, lo: float, hi: float, z_lo: mpf, z_hi: mpf, tol: float) -> mpf:
     """Midpoint of a sign-change bracket of z inside [lo, hi] no wider than
-    tol, by regula falsi with the Anderson-Bjorck modification (Anderson &
-    Bjorck, BIT 13, 1973): when the same end is kept twice, its value is
-    scaled by _anderson_bjorck's factor.
+    tol, by _regula_falsi in mpf.
 
     Each secant point is clamped tol/4 inside the current bracket, so the
     bracket shrinks on every evaluation and closes once the secant estimate
@@ -452,23 +459,13 @@ def _refine(z, lo: float, hi: float, z_lo: mpf, z_hi: mpf, tol: float) -> mpf:
     around a predicted zero: one no wider than tol when the prediction hit,
     returned with no evaluation, else the narrowed bracket of a miss.
     """
-    a, b, fa, fb = mpf(lo), mpf(hi), z_lo, z_hi
     margin = mpf(tol) / 4
-    moved = None  # the end that moved last: "a" or "b"
+    steps = _regula_falsi(z, mpf(lo), mpf(hi), z_lo, z_hi)
+    a, b, m = next(steps)
     for _ in range(REFINE_MAX_EVALS):
         if b - a <= tol:
-            return (a + b) / 2
-        m = b - fb * (b - a) / (fb - fa)
-        m = min(max(m, a + margin), b - margin)
-        fm = z(m)
-        if (fa < 0) != (fm < 0):
-            if moved == "b":  # a kept twice
-                fa *= _anderson_bjorck(fm, fb)
-            b, fb, moved = m, fm, "b"
-        else:
-            if moved == "a":
-                fb *= _anderson_bjorck(fm, fa)
-            a, fa, moved = m, fm, "a"
+            break
+        a, b, m = steps.send(min(max(m, a + margin), b - margin))
     if b - a <= tol:
         return (a + b) / 2
     raise ArithmeticError(
@@ -477,32 +474,36 @@ def _refine(z, lo: float, hi: float, z_lo: mpf, z_hi: mpf, tol: float) -> mpf:
 
 
 def _predict_zero(lo, hi, z_lo, z_hi) -> float:
-    """Where the zero of a sign-change bracket of Z probably lies: regula
-    falsi with the Anderson-Bjorck modification on _hardy_z_float, in
-    doubles, from the exact end values, until two successive secant
-    estimates agree to 1e-11 (at most REFINE_MAX_EVALS evaluations).
+    """Where the zero of a sign-change bracket of Z probably lies: the
+    _regula_falsi secant points on _hardy_z_float, in doubles and with no
+    clamp, from the exact end values, until two successive estimates agree
+    to 1e-11; after REFINE_MAX_EVALS evaluations, the last point evaluated.
     The estimate decides nothing; it only says where to evaluate Z."""
-    a, b, fa, fb = float(lo), float(hi), float(z_lo), float(z_hi)
-    x = moved = None  # the last estimate; the end that moved last
+    steps = _regula_falsi(_hardy_z_float, float(lo), float(hi), float(z_lo), float(z_hi))
+    _, _, m = next(steps)
+    x = None  # the last point evaluated
     for _ in range(REFINE_MAX_EVALS):
-        m = b - fb * (b - a) / (fb - fa)
         if x is not None and abs(m - x) <= 1e-11:
-            break
+            return m
         x = m
-        fm = _hardy_z_float(m)
-        if (fa < 0) != (fm < 0):
-            if moved == "b":
-                fa *= _anderson_bjorck(fm, fb)
-            b, fb, moved = m, fm, "b"
-        else:
-            if moved == "a":
-                fb *= _anderson_bjorck(fm, fa)
-            a, fa, moved = m, fm, "a"
-    return m
+        _, _, m = steps.send(x)
+    return x
 
 
 GRAM_NEWTON_MAX = 12
 BLOCK_SEARCH_EVALS = 24
+
+
+def _gram_newton(theta, ln_over_2pi, x, target, rel):
+    """Newton on theta(x) = target with theta'(x) ~ ln(x/2pi)/2 - 1/(48 x^2),
+    ln(x/2pi) given by ln_over_2pi, in the arithmetic of x: until a step is
+    at most rel x, or for GRAM_NEWTON_MAX steps."""
+    for _ in range(GRAM_NEWTON_MAX):
+        step = (theta(x) - target) / (ln_over_2pi(x) / 2 - 1 / (48 * x * x))
+        x -= step
+        if abs(step) <= rel * x:
+            break
+    return x
 
 
 def _gram_points():
@@ -510,30 +511,20 @@ def _gram_points():
     at the working precision; g_-1 ~ 9.667 is the larger root of
     theta = -pi.
 
-    Each is found by Newton with theta'(t) ~ ln(t/2pi)/2 - 1/(48 t^2),
-    started from the previous point plus 2 pi / ln(g/2pi): first in doubles
-    on _theta_float, until a step is below 1e-12 g, then in mpf on
-    _theta_raw, until a step is below 2^(10 - prec) g.  The double start is
-    within ~1e-15 g, so the mpf loop usually stops after one evaluation;
-    the point it returns is decided by _theta_raw alone.
+    Each is found by _gram_newton, started from the previous point plus
+    2 pi / ln(g/2pi): first in doubles on _theta_float, until a step is
+    below 1e-12 g, then in mpf on _theta_raw, until a step is below
+    2^(10 - prec) g.  The double start is within ~1e-15 g, so the mpf stage
+    usually stops after one evaluation; the point it returns is decided by
+    _theta_raw alone.
     """
     ln_2pi = mp.ln(2 * mp.pi)
     rel = mpf(2) ** (10 - mp.prec)
     n, x = -1, 10.0
     while True:
-        for _ in range(GRAM_NEWTON_MAX):
-            step = (_theta_float(x) - n * math.pi) / (
-                math.log(x / (2 * math.pi)) / 2 - 1 / (48 * x * x))
-            x -= step
-            if abs(step) <= 1e-12 * x:
-                break
-        g, target = mpf(x), n * mp.pi
-        for _ in range(GRAM_NEWTON_MAX):
-            slope = (mp.ln(g) - ln_2pi) / 2 - 1 / (48 * g * g)
-            step = (_theta_raw(g) - target) / slope
-            g -= step
-            if abs(step) <= rel * g:
-                break
+        x = _gram_newton(_theta_float, lambda x: math.log(x / (2 * math.pi)), x,
+                         n * math.pi, 1e-12)
+        g = _gram_newton(_theta_raw, lambda g: mp.ln(g) - ln_2pi, mpf(x), n * mp.pi, rel)
         yield n, g
         x = float(g)
         x += 2 * math.pi / math.log(x / (2 * math.pi))
@@ -682,13 +673,11 @@ def _parse_ordinate(text: str, powers: dict) -> mpf:
 
     A row of ASCII digits and a point (the form write_zero_table writes) is
     m / 10^k, k its fraction digits; powers caches (10^k, its bit length)
-    per k, for one load.  Past int()'s digit limit the row keeps its whole
-    part, prec + 1 fraction digits and a 1 if a dropped digit is nonzero:
-    for a value >= 1 every rounding boundary at prec bits is a multiple of
-    10^-(prec+1), and the 1 keeps the row between the same two multiples.
-    Any other ASCII row without "_" that decimal.Decimal reads as finite,
-    of exponent at most _EXACT_EXPONENT in magnitude, is its exact ratio
-    m / den.  Then in integers: q = floor(m 2^s / den) has at least prec + 3
+    per k, for one load.  Any other ASCII row without "_" that
+    decimal.Decimal reads as finite, of exponent at most _EXACT_EXPONENT in
+    magnitude, is its exact ratio m / den: so is a row of digits and a point
+    past int()'s 4,300-digit limit, with at most _EXACT_EXPONENT fraction
+    digits.  Then in integers: q = floor(m 2^s / den) has at least prec + 3
     bits, its last bit set when the division leaves a remainder (a sticky
     bit, so no inexact quotient reads as a tie), and is rounded once to prec
     bits and shifted to an odd mantissa, mpmath's normal form.
@@ -699,13 +688,13 @@ def _parse_ordinate(text: str, powers: dict) -> mpf:
     prec + 10 bits and rounds twice; this rounds once.  Every other text
     goes to mpf(text): nan, inf, larger exponents, underscores, a/b."""
     whole, _, frac = text.partition(".")
+    m = None
     if whole.isdigit() and frac.isdigit() and text.isascii():
         try:
             m = int(whole + frac)
-        except ValueError:  # past int()'s limit; a row below 1 keeps all and fails
-            cut = mp.prec + 1 if whole.strip("0") else len(frac)
-            frac = frac[:cut] + ("1" if frac[cut:].strip("0") else "")
-            m = int(whole + frac)
+        except ValueError:  # past int()'s digit limit: Decimal reads the row
+            pass
+    if m is not None:
         sign, k = 0, len(frac)
         power = powers.get(k)
         if power is None:
@@ -748,9 +737,9 @@ def load_zero_table(
     ascending decimal ordinate per line, '#' comments and blank lines
     ignored, read one line at a time.  Each row is rounded once to nearest
     at that precision by exact integer division (_parse_ordinate): a row of
-    digits and a point (even past int()'s limit, if at least 1), and any other
-    form decimal.Decimal reads, signed or in exponent form; nan, inf and
-    other text go to mpf(row).  The claimed accuracy, unless given, is the
+    digits and a point (past int()'s limit too), and any other form
+    decimal.Decimal reads, signed or in exponent form; nan, inf and other
+    text go to mpf(row).  The claimed accuracy, unless given, is the
     one stated by a first line in write_zero_table's form, else 1e-10.  A
     ZeroTableError names the line of the first bad ordinate (unparsable,
     shown to 60 characters; not positive and finite; or not above the one

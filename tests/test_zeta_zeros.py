@@ -86,6 +86,18 @@ def _float_grid():
             + [rng.uniform(g_1, SUPPORTED_HEIGHT) for _ in range(30)])
 
 
+def test_float_coefficients_match_zeta_values():
+    # an independent route to the same doubles: B_2k/(2k)! =
+    # (-1)^(k+1) 2 zeta(2k)/(2 pi)^(2k) at 40 digits, rounded to a double
+    stirling, bernoulli = zeta_zeros._float_coefficients()
+    with workdps(40):
+        b = [(-1) ** (k + 1) * 2 * mp.zeta(2 * k) / (2 * mp.pi) ** (2 * k) for k in range(1, 43)]
+        assert bernoulli == tuple(map(float, b))
+        assert stirling == tuple(float((1 - mpf(2) ** (1 - 2 * k)) * abs(b[k - 1])
+                                       * math.factorial(2 * k) / (4 * k * (2 * k - 1)))
+                                 for k in range(1, 7))
+
+
 def test_theta_float_within_stated_bound():
     with workdps(30):
         for t in _float_grid():
@@ -322,6 +334,45 @@ def test_refine_anderson_bjorck():
     assert len(calls) <= 11
 
 
+def test_predict_zero_anderson_bjorck_in_doubles(monkeypatch):
+    # the same loop as _refine, driven in doubles with no clamp: it stops
+    # once two secant estimates agree to 1e-11, well before the cap
+    calls = []
+
+    def z(t):
+        calls.append(t)
+        return math.exp(20 * t) - 2
+
+    monkeypatch.setattr(zeta_zeros, "_hardy_z_float", z)
+    x = zeta_zeros._predict_zero(0.0, 1.0, z(0.0), z(1.0))
+    assert isinstance(x, float) and abs(x - math.log(2) / 20) <= 1e-11
+    assert len(calls) <= 2 + 10
+
+
+def test_secant_point_on_a_zero(monkeypatch):
+    # z(0) = -3/32 and z(1) = 3/32 put the first secant point exactly on
+    # the zero 1/2.  In doubles the next estimate is 1/2 again, so the
+    # predictor stops there after one evaluation.  In mpf _refine clamps the
+    # next point tol/4 below 1/2, where z > 0 again: b is replaced twice
+    # running from a value of 0, then by values larger than the one they
+    # replace (g <= 0), and the value at a is halved each time until the
+    # bracket closes on the zero at 1/4
+    calls = []
+
+    def z(t):
+        calls.append(t)
+        return (t - 0.25) * (t - 0.5) * (t - 0.75)
+
+    monkeypatch.setattr(zeta_zeros, "_hardy_z_float", z)
+    assert zeta_zeros._predict_zero(0.0, 1.0, z(0.0), z(1.0)) == 0.5
+    assert calls[2:] == [0.5]
+    calls.clear()
+    with workdps(17):
+        g = _refine(z, 0.0, 1.0, z(mpf(0)), z(mpf(1)), 1e-9)
+    assert calls[2] == 0.5 and abs(g - 0.25) <= 5e-10
+    assert len(calls) <= 2 + 30
+
+
 def test_refine_raises_when_width_unreachable():
     calls = []
 
@@ -552,7 +603,7 @@ def test_header_states_at_least_the_claimed_accuracy(tmp_path, claimed):
 
 def _exact_decimal(a: int, j: int) -> str:
     """a / 2^j as its exact decimal, j >= 1 fraction digits."""
-    digits = str(a * 5 ** j).rjust(j + 1, "0")
+    digits = str(Decimal(a * 5 ** j)).rjust(j + 1, "0")  # str(int) stops at 4300 digits
     return digits[:-j] + "." + digits[-j:]
 
 
@@ -632,12 +683,13 @@ def test_rows_round_once_in_every_form(dps, tmp_path):
     assert g._mpf_ == from_rational(q.numerator, q.denominator, prec, round_nearest)
 
 
-@pytest.mark.parametrize("dps", [17, 60, 322])
+@pytest.mark.parametrize("dps", [17, 60, 322, 1300])
 def test_rows_past_the_int_digit_limit_round_once(dps, tmp_path):
-    # int() converts at most 4300 digits; a longer row at least 1 keeps
-    # prec + 1 fraction digits and a 1 for any nonzero digit dropped.  The
-    # tie 1 + 2^-prec followed by 5000 zeros rounds to even, and with a 1
-    # after the zeros rounds up
+    # int() converts at most 4300 digits; decimal.Decimal reads a longer
+    # row exactly, at any precision: at 1300 digits the first prec + 1
+    # fraction digits alone are past int()'s limit.  The tie 1 + 2^-prec
+    # followed by 5000 zeros rounds to even, and with a 1 after the zeros
+    # rounds up
     rng = random.Random(dps)
     with workdps(dps):
         prec = mp.prec
@@ -659,10 +711,17 @@ def test_rows_past_the_int_digit_limit_round_once(dps, tmp_path):
 
 
 def test_long_row_below_one_is_named_clipped(tmp_path):
-    # below 1 a rounding boundary may lie past any digit kept: the row still
-    # fails to parse, and the message shows no more than 60 characters of it
+    # a row below 1 past int()'s limit is read exactly and rounded once,
+    # as a row above 1 is; a row of over 5000 characters that does not
+    # parse is named by its line, with no more than 60 characters shown
     path = tmp_path / "small.txt"
-    path.write_text("0." + "3" * 5000 + "\n", encoding="utf-8")
+    small = "0." + "3" * 5000
+    path.write_text(small + "\n", encoding="utf-8")
+    (g,) = load_zero_table(path).ordinates
+    with workdps(DEFAULT_PRECISION + _GUARD):
+        once = from_rational(*Decimal(small).as_integer_ratio(), mp.prec, round_nearest)
+    assert g._mpf_ == once
+    path.write_text(small[:-1] + "x\n", encoding="utf-8")
     with pytest.raises(ZeroTableError) as exc:
         load_zero_table(path)
     assert exc.value.line_number == 1

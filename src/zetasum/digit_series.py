@@ -29,23 +29,27 @@ to N thus takes O(log N) blocks, about 16 per octave and up to two per bit
 length where the blocks ramp up from the first index and down to the last,
 plus O(B^2 log B) single terms, in runs between them.  On a block
 s(n) = s(a) + s(r) and L(n) = L(x), so w(n) = w0 + c s(r) with
-w0 = c s(a) + b L(x) + e, and the Taylor series of 1/(2n + t) in r gives
-the block sum
+w0 = c s(a) + b L(x) + e.  About the block's centre, rho = 2r - (2^j - 1)
+and the integer y_t = 2x + 2^j - 1 + t give 1/(2n + t) = 1/(y_t + rho) =
+sum_d (-rho)^d y_t^-(d+1).  As r -> 2^j - 1 - r sends rho and 2 s(r) - j
+to their negatives, w = (2 w0 + c j + c (2 s(r) - j))/2 gives the block sum
 
-    sum_{d<D} (-2)^d (c M_j(d) + w0 P_j(d)) sum_t A_t (2x + t)^-(d+1)
+    sum_{d<D} (-1)^d g_d S_j(d)/2 sum_t A_t y_t^-(d+1)
 
-plus a remainder.  P_j(d) = sum r^d and M_j(d) = sum s(r) r^d over
-0 <= r < 2^j are exact integers, built by doubling with shifts and
-additions (_moments) and kept for the rest of the call.
-For each t the d-sum is an exact integer over (2x + t)^D by Horner's rule.
+plus a remainder: g_d = 2 w0 + c j and S_j(d) = sum rho^d at even d,
+g_d = c and S_j(d) = sum (2 s(r) - j) rho^d at odd d, over 0 <= r < 2^j
+(the other two sums vanish).  The S_j(d) are exact integers, built by
+doubling with shifts and additions (_moments) and kept for the rest of
+the call.  For each t the d-sum is an integer over 2 y_t^D by Horner's rule.
 
-Taylor remainder.  sum_t A_t (2n + t)^-(D+1) is a k-th divided difference
-of y^-(D+1), so the D-th Taylor coefficient of 1/prod(2n + t) at any point
-n >= x is at most C(D+k, k) 2^D (2x)^-(D+k+1) in absolute value, and the
-remainder of each term at most C(D+k, k) (2x)^-(k+1) (r/x)^D, which falls
-geometrically in D by r/x < 2^-q <= 1/16, q = L(x) - 1 - j.  Over the
-block it is below W C(D+k, k) 2^(j - (k+1) L(x) - qD), W the largest |w|
-on the block; D is the least degree that puts this below 2^-B.
+Taylor remainder.  sum_t A_t (z + t)^-(D+1) is a k-th divided difference
+of y^-(D+1), so the D-th Taylor coefficient of 1/prod(z + t) is at most
+C(D+k, k) z^-(D+k+1) in absolute value.  As |rho| < 2^j and
+y_0 - |rho| >= 2x >= 2^L(x), each term's remainder is at most
+C(D+k, k) (2x)^-(k+1) (2^j/2x)^D <= C(D+k, k) 2^(-(k+1) L(x) - (q+1) D),
+q = L(x) - 1 - j >= 4, one bit per degree more than about the first
+index (r/x < 2^-q).  The block's is below W 2^j times that, W the largest
+|w| on it; D, about B/(q+1), is the least degree that puts this below 2^-B.
 
 Rounding.  The fixed point has B fraction bits: the working binary
 precision plus the bit length of an a-priori floor count (k + 3 per
@@ -232,43 +236,38 @@ def _from_fixed(acc: int, B: int, floors: int) -> Tuple[mpf, mpf]:
     return value, mp.ldexp(ulps, -B)
 
 
-def _moments(j: int, degree: int, cache: list) -> Tuple[list, list]:
-    """The exact moments P_j(0..degree) and M_j(0..degree) (and possibly
-    more), by doubling: r < 2^i is r' or 2^h + r' with r' < 2^h, h = i - 1,
-    and s(2^h + r') = 1 + s(r'), so
+def _moments(j: int, degree: int, cache: list) -> list:
+    """The centred moments S_j(0..degree) (and possibly more; see the
+    module docstring), by doubling: r < 2^i is r' or 2^h + r' with
+    r' < 2^h, h = i - 1, whose rho is rho' -+ 2^h and 2 s(r) - i is
+    2 s(r') - h -+ 1.  The symmetry folds the first half onto the second:
 
-        P_i(d) = P_h(d) + T[P_h](d),   M_i(d) = M_h(d) + T[M_h + P_h](d),
+        S_i(d) = 2 ((E + 2^h)^d X_h)(0),
 
-    with T[a](d) = sum_l C(d, l) 2^(h(d-l)) a(l) = ((E + 2^h)^d a)(0), E the
-    shift a(l) -> a(l+1).  The table of the (E + 2^h)^m a grows by one
-    antidiagonal per degree, by shifts and additions alone; each level keeps
-    its last antidiagonal, so one more degree costs O(degree) per level.
-
-    cache[i] = (P, M, dP, dS) holds level i: P[d] = P_i(d) and M[d] = M_i(d)
-    for d < len(P), and the last antidiagonals of the two tables that build
-    it from level i - 1.  _sum_series keeps one cache per call.
+    E the shift a(l) -> a(l+1), X_h = S_h at odd d and S_h with its odd
+    degrees zeroed at even d.  The table of the (E + 2^h)^m a grows by one
+    antidiagonal per degree, by shifts and additions alone; each level
+    keeps its last two, so one more degree costs O(degree) per level.
+    cache[i] = (S, dX, dS) holds level i: S[d] = S_i(d) for d < len(S), and
+    the antidiagonals that build it; _sum_series keeps one cache per call.
     """
     while len(cache) <= j:
-        cache.append(([], [], [], []))
+        cache.append(([], [], []))
     for d in range(len(cache[j][0]), degree + 1):
         for i in range(j + 1):
-            P, M, dP, dS = cache[i]
-            if len(P) > d:
+            S, dX, dS = cache[i]
+            if len(S) > d:
                 continue
-            if i == 0:  # r = 0 only
-                P.append(int(d == 0))
-                M.append(0)
+            if i == 0:  # r = 0 only, rho = 0
+                S.append(int(d == 0))
                 continue
-            Ph, Mh, _, _ = cache[i - 1]
-            h = i - 1
-            # dP[m] = ((E + 2^h)^m P_h)(d - m): dP[m] plus 2^h times the
-            # previous degree's dP[m] gives dP[m + 1]; likewise dS for M_h + P_h
-            dP[:] = accumulate(chain((Ph[d],), map(lshift, dP, repeat(h))))
-            dS[:] = accumulate(chain((Mh[d] + Ph[d],), map(lshift, dS, repeat(h))))
-            P.append(Ph[d] + dP[-1])
-            M.append(Mh[d] + dS[-1])
-    P, M, _, _ = cache[j]
-    return P, M
+            Sh, h = cache[i - 1][0], i - 1
+            # dX[m] = ((E + 2^h)^m X_h)(d - m): dX[m] plus 2^h times the
+            # previous degree's dX[m] gives dX[m + 1]; likewise dS for S_h
+            dX[:] = accumulate(chain((0 if d & 1 else Sh[d],), map(lshift, dX, repeat(h))))
+            dS[:] = accumulate(chain((Sh[d],), map(lshift, dS, repeat(h))))
+            S.append(2 * (dS if d & 1 else dX)[-1])
+    return cache[j][0]
 
 
 def _least_level(k: int, L: int, prec: int) -> int:
@@ -276,14 +275,14 @@ def _least_level(k: int, L: int, prec: int) -> int:
     pays at bit length L, or L - 4 if L - 5 does not (no block there).
 
     A block of 2^j terms with q = L - 1 - j needs degree about
-    D = (prec + j - (k + 1) L)/q (see _block_sum), so about (k + 2) D
+    D = (prec + j - (k + 1) L)/(q + 1) (see _block_sum), so about (k + 2) D
     big-integer steps, and the moment table up to level j about j D^2
-    shift-adds, shared by all blocks up to that level.  A level pays when
-    j D^2 <= 2^(j + 8), 16 times the 2^(j + 4) terms of the 16 blocks of its
-    octave: a shift-add costs a fraction of a term's floor division, and the
-    table serves the blocks of every octave above as well.  The constant is
-    timed: 2^(j + 6) and 2^(j + 10) were slower at 300 and 1000 digits
-    respectively (BENCH_10.json).
+    shift-adds, shared by all blocks up to that level.  With D taken over q,
+    not q + 1, a level pays when j D^2 <= 2^(j + 8), 16 times the 2^(j + 4)
+    terms of the 16 blocks of its octave: a shift-add costs a fraction of a
+    term's floor division, and the table serves the blocks of every octave
+    above as well.  Timed (BENCH_29.json): 2^(j + 10) and q + 1 won from 80
+    digits up but not at 30 or 50 digits; 2^(j + 6) lost from 50 up.
     """
     least = max(1, L - 4)
     for j in range(L - 5, 0, -1):
@@ -323,27 +322,28 @@ def _pieces(lo: int, hi: int, k: int, prec: int):
 def _block_sum(spec: _Spec, x: int, j: int, B: int, cache: list) -> int:
     """The kernel summed over the block x..x + 2^j - 1, in units of 2^-B:
     at most the true sum and less than k + 3 units below it (see the module
-    docstring for the expansion and its remainder)."""
+    docstring for the centred expansion and its remainder)."""
     c, b, e = spec.weights
     k = len(spec.den) - 1
     L = x.bit_length()
     w0 = c * (x >> j).bit_count() + b * L + e  # w(x + r) = w0 + c s(r)
     top = max(abs(w0), abs(w0 + c * j))  # |w| on the block, 0 <= s(r) <= j
     q = L - 1 - j
-    # remainder * 2^B < top C(D+k, k) 2^(excess - qD)
+    # remainder * 2^B < top C(D+k, k) 2^(excess - (q + 1) D)
     excess = B + j - (k + 1) * L
-    D = max(1, -(-excess // q))
-    while (top * comb(D + k, k)).bit_length() > q * D - excess:
+    D = max(1, -(-excess // (q + 1)))
+    while (top * comb(D + k, k)).bit_length() > (q + 1) * D - excess:
         D += 1
-    P, M = _moments(j, D - 1, cache)
-    coeffs = [(-2) ** d * (c * M[d] + w0 * P[d]) for d in range(D)]
+    S = _moments(j, D - 1, cache)
+    # (-1)^d g_d S_j(d), twice the degree-d coefficient
+    coeffs = [(-c if d & 1 else 2 * w0 + c * j) * S[d] for d in range(D)]
     total = -1  # the remainder's unit
     for t, A in enumerate(spec.den):
-        y = 2 * x + t
+        y = 2 * x + (1 << j) - 1 + t
         num = 0
         for cd in coeffs:
             num = num * y + cd
-        total += (A.numerator * num << B) // (A.denominator * y ** D)
+        total += (A.numerator * num << B) // (2 * A.denominator * y ** D)
     return total
 
 

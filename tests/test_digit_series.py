@@ -333,11 +333,15 @@ def test_moments_match_direct_sums():
     cache = []
     for j, degree in ((0, 12), (1, 12), (5, 12), (9, 12), (3, 12), (9, 20),
                       (11, 4), (11, 16)):
-        P, M = digit_series._moments(j, degree, cache)
-        assert len(P) > degree and len(M) > degree
+        S = digit_series._moments(j, degree, cache)
+        assert len(S) > degree
+        # rho = 2r - (2^j - 1) and 2 s(r) - j over the block
+        pairs = [(2 * r - 2 ** j + 1, 2 * r.bit_count() - j) for r in range(2 ** j)]
         for d in range(degree + 1):
-            assert P[d] == sum(r ** d for r in range(2 ** j))
-            assert M[d] == sum(r.bit_count() * r ** d for r in range(2 ** j))
+            plain = sum(rho ** d for rho, _ in pairs)
+            signed = sum(u * rho ** d for rho, u in pairs)
+            # the table holds one parity of each sum; the other vanishes
+            assert (S[d], 0) == ((signed, plain) if d % 2 else (plain, signed))
 
 
 def _tile(lo, hi, k, prec):
@@ -411,3 +415,16 @@ def test_gamma_addison_far_continuation():
     with workdps(80):
         v = r.value().value
         assert v <= +mp.euler <= v + r.tail_bound.value
+
+
+@pytest.mark.parametrize("fn,constant", [
+    (main_series, lambda: mp.euler - mp.log(4 * mp.pi) + 2),
+    (log2pi_dual, lambda: mp.log(2 / mp.pi)),
+])
+def test_high_degree_blocks_enclose_constant(fn, constant):
+    # 110 digits over 10^30 terms: blocks of Taylor degree up to ~70 and
+    # moment tables to level ~95, against the constant at 130 digits
+    r = fn(10 ** 30, precision=110)
+    assert r.tail_bound.value < mpf("1e-58")
+    with workdps(130):
+        assert r.enclosure().contains(constant())

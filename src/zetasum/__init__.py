@@ -6,7 +6,6 @@ from .numerics import (
     DEFAULT_PRECISION,
     DomainError,
     ExtendedReal,
-    Interval,
     digamma,
     ln_gamma,
     polygamma,

@@ -79,7 +79,8 @@ _FLAGS = {
                   dict(help=f"working precision in decimal digits (>= {MIN_PRECISION})")),
     "terms": (_positive, None, dict(help="series term count override")),
     "zeros-file": (str, None, dict(help="path to a zero-ordinate table")),
-    "height": (_height, None, dict(help="compute zeros up to this ordinate instead of loading")),
+    "height": (_height, None, dict(help="compute the zeros up to this ordinate; li, gn and "
+                                       "verify p0_zeros given no table use 100")),
     "format": (_format, "text", dict(metavar="{" + ",".join(FORMATS) + "}")),
     "no-tail-correction": (_switch, False,
                            dict(help="skip density-based completion of zero sums")),
@@ -134,7 +135,7 @@ def _route_dict(label: str, result: SeriesResult, digits: int) -> dict:
 def _sign_dict(result: SeriesResult, digits: int) -> dict:
     """The value, whether the whole enclosure lies above zero, and the bound."""
     return {"value": result.value().to_decimal_string(digits),
-            "positive": result.enclosure().lower.value > 0,
+            "positive": result.enclosure()[0] > 0,
             "tail_bound": result.tail_bound.to_decimal_string(8)}
 
 
@@ -156,9 +157,8 @@ def _emit(args, rows: list, doc: dict, lines: list):
 
 def cmd_constants(args) -> int:
     p = args.precision
-    N = args.terms or 100_000
     grouped = {name: [_route_dict(label, r, p) for label, r in rows]
-               for name, rows in criteria.constants(N, p).items()}
+               for name, rows in criteria.constants(args.terms, p).items()}
     rows = [{"constant": name, **route} for name, group in grouped.items() for route in group]
     lines = []
     for name, group in grouped.items():

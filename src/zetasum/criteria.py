@@ -103,7 +103,7 @@ def zero_sum_p0(
         raise DomainError("zero_sum_p0 requires a nonempty zero table")
     (lam,) = li_lambda(1, zeros, with_tail_correction, precision)
     return SeriesResult(
-        ExtendedReal(mp.ldexp(lam.value().value, 1), precision),
+        mp.ldexp(lam.partial_sum, 1),
         len(zeros),
         ExtendedReal(mp.ldexp(lam.tail_bound.value, 1), precision),
         "zero_sum_p0",
@@ -226,12 +226,8 @@ def li_lambda(
                 bound = k2 * (D + fluct)
             bound += 2 * k2 * delta * widen * inverse_cubes + rounding \
                 + _rounding_slack(precision)
-            results.append(SeriesResult(
-                ExtendedReal(value, precision),
-                K,
-                ExtendedReal(bound, precision),
-                f"li_lambda[{k}]",
-            ))
+            results.append(SeriesResult(value, K, ExtendedReal(bound, precision),
+                                        f"li_lambda[{k}]"))
         return tuple(results)
 
 
@@ -275,13 +271,8 @@ def gn_multisum(
         else:
             bound = 18 * x_max ** 4 * (p1 + tail1) ** 2 * tail1
         bound += _rounding_slack(precision) * max(1, abs(total))
-        return SeriesResult(
-            ExtendedReal(total, precision),
-            K,
-            ExtendedReal(bound, precision),
-            f"gn_multisum[{n}]",
-            positive_terms=(n == 1),
-        )
+        return SeriesResult(total, K, ExtendedReal(bound, precision), f"gn_multisum[{n}]",
+                            positive_terms=(n == 1))
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +294,14 @@ def _closed(label: str, value):
     with the rounding slack as its bound."""
     def route(N, p):
         with workdps(p + _GUARD):
-            return SeriesResult(ExtendedReal(value(), p), 0,
-                                ExtendedReal(_rounding_slack(p), p), label)
+            return SeriesResult(value(), 0, ExtendedReal(_rounding_slack(p), p), label)
     return route
 
 
-def _less(shift: mpf, r: SeriesResult, p: int) -> SeriesResult:
-    """shift minus r's value at p digits, with r's terms and bound; run
-    under workdps(p + _GUARD)."""
-    return SeriesResult(ExtendedReal(shift - r.value(p).value, p),
-                        r.terms_used, r.tail_bound, r.series_id)
+def _less(shift: mpf, r: SeriesResult) -> SeriesResult:
+    """shift minus r's value, with r's terms and bound; run at r's working
+    precision."""
+    return SeriesResult(shift - r.value().value, r.terms_used, r.tail_bound, r.series_id)
 
 
 def _stieltjes0(N, p):
@@ -383,17 +372,19 @@ def verify_identity(
     with workdps(p + _GUARD):
         a = (label_a, route_a(*inputs, p))
         b = (label_b, route_b(None, p))
-        discrepancy = abs(a[1].value(p).value - b[1].value(p).value)
+        discrepancy = abs(a[1].value().value - b[1].value().value)
         tolerance = a[1].tail_bound.value + b[1].tail_bound.value + _rounding_slack(p)
         return IdentityReport(identity_id, a, b, ExtendedReal(discrepancy, p),
                               ExtendedReal(tolerance, p))
 
 
-def constants(N: int, p: int) -> dict:
-    """What `zetasum constants` prints at N terms and p digits: each
-    constant -> its two (label, SeriesResult) rows, in print order.  Each
-    route runs once: the ln pi row reuses the ln(4/pi) row's log4pi_paired
-    sum."""
+def constants(N: Optional[int], p: int) -> dict:
+    """What `zetasum constants` prints at N terms (None: a digit identity's
+    default) and p digits: each constant -> its two (label, SeriesResult)
+    rows, in print order.  Each route runs once: the ln pi row reuses the
+    ln(4/pi) row's log4pi_paired sum."""
+    if N is None:
+        N = _TERMS["terms"]
     with workdps(p + _GUARD):
         log4pi = _digit("log4pi_paired")(N, p)
         return {
@@ -402,9 +393,9 @@ def constants(N: int, p: int) -> dict:
             "ln(4/pi)": (("log4pi_paired", log4pi),
                          ("reference",
                           _closed("reference", lambda: 2 * mp.ln(2) - mp.ln(mp.pi))(N, p))),
-            "ln 2": (("3/4 - log2_series", _less(mpf(3) / 4, _digit("log2_series")(N, p), p)),
+            "ln 2": (("3/4 - log2_series", _less(mpf(3) / 4, _digit("log2_series")(N, p))),
                      ("reference", _closed("reference", lambda: mp.ln(2))(N, p))),
-            "ln pi": (("2 ln 2 - log4pi_paired", _less(2 * mp.ln(2), log4pi, p)),
+            "ln pi": (("2 ln 2 - log4pi_paired", _less(2 * mp.ln(2), log4pi)),
                       ("reference", _closed("reference", lambda: mp.ln(mp.pi))(N, p))),
             "gamma - ln(4 pi) + 2": (("main_series", _digit("main_series")(N, p)),
                                      ("p01_integral", p01_integral(N, precision=p))),

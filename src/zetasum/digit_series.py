@@ -14,7 +14,7 @@ kernel and the block evaluator below both derive from the row.
 
 exact_limit is the largest term count whose partial sum is returned
 exactly, as a Fraction.  A sum of more terms is taken in fixed point
-from the first index on and returned as ExtendedReal; every result carries
+from the first index on and returned as an mpf; every result carries
 a certified tail bound, which for a fixed-point sum also covers its
 rounding and the Taylor remainders of the blocks.
 
@@ -90,7 +90,6 @@ from .numerics import (
     DEFAULT_PRECISION,
     DomainError,
     ExtendedReal,
-    Interval,
     _GUARD,
 )
 
@@ -130,12 +129,16 @@ def digit_counts(m: int) -> DigitCounts:
 class SeriesResult:
     """Truncated series value with a certified bound on the omitted tail.
 
-    The true value lies in [partial_sum - tail_bound, partial_sum +
-    tail_bound]; when positive_terms is set, in [partial_sum,
-    partial_sum + tail_bound].
+    partial_sum is a Fraction or an mpf; the tail bound carries the
+    precision the result was computed at.  The true value lies in
+    [partial_sum - tail_bound, partial_sum + tail_bound]; when
+    positive_terms is set, in [partial_sum, partial_sum + tail_bound].
+    value() wraps the partial sum at the bound's precision, the one place a
+    result's value is wrapped; enclosure() gives those ends as mpfs,
+    rounded outward.
     """
 
-    partial_sum: Union[Fraction, ExtendedReal]
+    partial_sum: Union[Fraction, mpf]
     terms_used: int
     tail_bound: ExtendedReal
     series_id: str
@@ -145,18 +148,17 @@ class SeriesResult:
         if self.tail_bound.value < 0:
             raise DomainError("tail_bound must be nonnegative")
 
-    def value(self, precision: int | None = None) -> ExtendedReal:
-        if isinstance(self.partial_sum, ExtendedReal):
-            return self.partial_sum
-        p = precision or self.tail_bound.precision
-        return ExtendedReal(self.partial_sum, p)
+    def value(self) -> ExtendedReal:
+        return ExtendedReal(self.partial_sum, self.tail_bound.precision)
 
-    def enclosure(self) -> Interval:
-        v, t = self.value(), self.tail_bound
-        p = min(v.precision, t.precision)
-        with workdps(p + _GUARD):
-            lower = v.value if self.positive_terms else v.value - t.value
-            return Interval(ExtendedReal(lower, p), ExtendedReal(v.value + t.value, p))
+    def enclosure(self) -> tuple:
+        """(lower, upper) as mpfs, rounded outward at the bound's precision
+        plus _GUARD; the lower end is the value itself when positive_terms
+        is set."""
+        v, t = self.value().value, self.tail_bound
+        with workdps(t.precision + _GUARD):
+            lower = v if self.positive_terms else mp.fsub(v, t.value, rounding="f")
+            return lower, mp.fadd(v, t.value, rounding="c")
 
     def is_exact_rational(self) -> bool:
         return isinstance(self.partial_sum, Fraction)
@@ -397,8 +399,7 @@ def _sum_series(spec: _Spec, last: int, exact_limit: int, precision: int) -> Ser
                 floors += y - x + 1
         value, width = _from_fixed(acc, B, floors)
         bound = ExtendedReal(bound.value + width, precision)
-        return SeriesResult(ExtendedReal(value, precision), n_terms, bound, spec.name,
-                            spec.positive)
+        return SeriesResult(value, n_terms, bound, spec.name, spec.positive)
 
 
 def _series(spec: _Spec) -> Callable[..., SeriesResult]:

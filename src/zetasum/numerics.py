@@ -1,13 +1,15 @@
 """Extended-precision value types.
 
-Provides the result records used everywhere else (ExtendedReal, Interval),
-the target constant, and precision-carrying wrappers around mpmath's
-log-gamma, digamma and polygamma.  Exact rationals are plain Fractions.
+Provides ExtendedReal, the record of an mpf and its precision, the target
+constant, and precision-carrying wrappers around mpmath's log-gamma,
+digamma and polygamma.  Exact rationals are plain Fractions.
 
 ExtendedReal does no arithmetic.  Every computation here and in the routes
-runs in mpf under workdps(precision + _GUARD) and wraps its result once, at
-the end.  Everything here is a pure function of its inputs; all types are
-immutable.
+runs in mpf under workdps(precision + _GUARD).  A route hands its plain
+mpf (or Fraction) partial sum to SeriesResult, whose value() is the one
+place that wraps it, at the precision of its tail bound; enclosure() gives
+plain mpf ends.  Everything here is a pure function of its inputs; all
+types are immutable.
 """
 
 from __future__ import annotations
@@ -69,32 +71,8 @@ class ExtendedReal:
             with workdps(self.precision + _GUARD):
                 object.__setattr__(self, "value", _to_mpf(self.value))
 
-    # -- conversion -------------------------------------------------------
-
-    def __float__(self):
-        return float(self.value)
-
     def to_decimal_string(self, digits: int | None = None) -> str:
         return mp.nstr(self.value, digits or self.precision, strip_zeros=False)
-
-    def __str__(self):
-        return self.to_decimal_string()
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lower, upper] certifying an enclosure."""
-
-    lower: ExtendedReal
-    upper: ExtendedReal
-
-    def __post_init__(self):
-        if self.lower.value > self.upper.value:
-            raise DomainError("interval lower bound exceeds upper bound")
-
-    def contains(self, x: Number) -> bool:
-        v = _to_mpf(x)
-        return self.lower.value <= v <= self.upper.value
 
 
 # ---------------------------------------------------------------------------

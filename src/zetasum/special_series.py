@@ -179,12 +179,7 @@ def stieltjes(req: StieltjesRequest, precision: int = DEFAULT_PRECISION) -> Seri
             d = _eval_log_poly(coeffs[2 * k - 1], ln_pows, mpf(N), 2 * k - 1)
             acc -= mp.bernoulli(2 * k) / mp.factorial(2 * k) * d
         bound = rem + rounding + _rounding_slack(precision) * (1 + abs(acc))
-        return SeriesResult(
-            ExtendedReal(acc, precision),
-            N,
-            ExtendedReal(bound, precision),
-            f"stieltjes[{m}]",
-        )
+        return SeriesResult(acc, N, ExtendedReal(bound, precision), f"stieltjes[{m}]")
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +267,8 @@ def p01_integral(N: int, precision: int = DEFAULT_PRECISION) -> SeriesResult:
                - 2 * mp.ln(2) + mp.ldexp(rational, -F)) / 2
         rounding = 17 * mp.eps * (N + 2) ** 2 * mp.ln(N + 2)
         bound = mpf(1) / (6 * (N + 1) ** 3) + 2 * rounding
-        return SeriesResult(
-            ExtendedReal(acc - rounding, precision),
-            N,
-            ExtendedReal(bound, precision),
-            "p01_integral",
-            positive_terms=True,
-        )
+        return SeriesResult(acc - rounding, N, ExtendedReal(bound, precision),
+                            "p01_integral", positive_terms=True)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +329,8 @@ def p12_series(
         else:
             bound = mpf(1) / (24 * N)
         bound += _rounding_slack(precision)
-        return SeriesResult(
-            ExtendedReal(acc, precision),
-            N,
-            ExtendedReal(bound, precision),
-            "p12_series",
-            positive_terms=not accelerate,
-        )
+        return SeriesResult(acc, N, ExtendedReal(bound, precision), "p12_series",
+                            positive_terms=not accelerate)
 
 
 def p12_closed_form(precision: int = DEFAULT_PRECISION) -> ExtendedReal:

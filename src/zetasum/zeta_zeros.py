@@ -662,8 +662,10 @@ def find_zeros(t_max) -> ZeroTable:
 _HEADER = (r"# \d+ zeta-zero ordinates \((?:computed|ingested)\), "
            r"accuracy (\d\.\d\de[+-]\d+)")
 
-# largest |Decimal exponent| read in integers; it holds any row of <= 4,300 digits
-# (int()'s limit) written with |exponent| <= 10,000, and 10^15000 is still cheap
+# largest |Decimal exponent| of a row in exponent form read in integers; it holds
+# any row of <= 4,300 digits (int()'s limit) written with |exponent| <= 10,000,
+# and keeps a short text such as 1e99999 from building a huge 10^k.  A row of
+# digits and a point builds no 10^k longer than itself, so it has no cap
 _EXACT_EXPONENT = 15_000
 
 
@@ -673,14 +675,14 @@ def _parse_ordinate(text: str, powers: dict) -> mpf:
 
     A row of ASCII digits and a point (the form write_zero_table writes) is
     m / 10^k, k its fraction digits; powers caches (10^k, its bit length)
-    per k, for one load.  Any other ASCII row without "_" that
-    decimal.Decimal reads as finite, of exponent at most _EXACT_EXPONENT in
-    magnitude, is its exact ratio m / den: so is a row of digits and a point
-    past int()'s 4,300-digit limit, with at most _EXACT_EXPONENT fraction
-    digits.  Then in integers: q = floor(m 2^s / den) has at least prec + 3
-    bits, its last bit set when the division leaves a remainder (a sticky
-    bit, so no inexact quotient reads as a tie), and is rounded once to prec
-    bits and shifted to an odd mantissa, mpmath's normal form.
+    per k, for one load.  Past int()'s 4,300-digit limit such a row, at any
+    length, is its exact ratio m / den from decimal.Decimal, as is any other
+    ASCII row without "_" that Decimal reads as finite, of exponent at most
+    _EXACT_EXPONENT in magnitude.  Then in integers: q = floor(m 2^s / den)
+    has at least prec + 3 bits, its last bit set when the division leaves a
+    remainder (a sticky bit, so no inexact quotient reads as a tie), and is
+    rounded once to prec bits and shifted to an odd mantissa, mpmath's
+    normal form.
 
     That is bit for bit mpf(text) while mpf(text) rounds once: while
     |E - j| <= 400, E the exponent and j the fraction digits short of
@@ -688,8 +690,9 @@ def _parse_ordinate(text: str, powers: dict) -> mpf:
     prec + 10 bits and rounds twice; this rounds once.  Every other text
     goes to mpf(text): nan, inf, larger exponents, underscores, a/b."""
     whole, _, frac = text.partition(".")
+    plain = whole.isdigit() and frac.isdigit() and text.isascii()
     m = None
-    if whole.isdigit() and frac.isdigit() and text.isascii():
+    if plain:
         try:
             m = int(whole + frac)
         except ValueError:  # past int()'s digit limit: Decimal reads the row
@@ -703,7 +706,7 @@ def _parse_ordinate(text: str, powers: dict) -> mpf:
         den, den_bits = power
     else:
         d = Decimal(text, Context(traps=[]))  # NaN, not an exception, for junk
-        if not (text.isascii() and "_" not in text and d.is_finite()
+        if not (plain or text.isascii() and "_" not in text and d.is_finite()
                 and abs(d.as_tuple().exponent) <= _EXACT_EXPONENT):
             return mpf(text)
         # copy_abs, not abs: abs rounds to the context's 28 digits

@@ -8,8 +8,6 @@ from mpmath import mp, mpf, workdps
 from zetasum.numerics import (
     DEFAULT_PRECISION,
     DomainError,
-    ExtendedReal,
-    Interval,
     Number,
     _GUARD,
     _to_mpf,
@@ -40,12 +38,12 @@ def quadrature(
     b: Number,
     target_error: Number,
     precision: int = DEFAULT_PRECISION,
-) -> Interval:
+) -> tuple:
     """Integrate a smooth f over the finite interval [a, b] with mpmath's
     quad (tanh-sinh), in mpf at precision plus guard digits.
 
-    Returns an interval around quad's value whose half-width is quad's
-    error estimate, or 10^-(precision-2) if that is larger.  The width is an
+    Returns the ends (lower, upper) around quad's value, as mpfs, whose
+    half-width is quad's error estimate, or 10^-(precision-2) if that is larger.  The width is an
     estimate, not a proof.  Raises QuadratureError if the estimate exceeds
     target_error.
     """
@@ -60,10 +58,7 @@ def quadrature(
             raise QuadratureError(
                 f"quadrature error estimate {mp.nstr(err, 3)} exceeds target {mp.nstr(tgt, 3)}")
         err = max(err, mpf(10) ** (-(precision - 2)))
-        return Interval(
-            ExtendedReal(total - err, precision),
-            ExtendedReal(total + err, precision),
-        )
+        return total - err, total + err
 
 
 def p01_integrand(q: mpf) -> mpf:

@@ -9,6 +9,8 @@ from mpmath import mp, mpf, workdps
 
 from zetasum import cli
 from zetasum.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, build_parser, main
+from zetasum.digit_series import SeriesResult
+from zetasum.numerics import ExtendedReal
 from tests.conftest import ZEROS_FILE
 
 
@@ -279,6 +281,15 @@ def test_gn_positive_is_certified(capsys, n, k, positive):
                        "--zeros-file", ZEROS_FILE, "--format", "json")
     assert code == EXIT_PASS
     assert json.loads(out)["positive"] is positive
+
+
+def test_sign_needs_the_lower_end_above_zero():
+    # a lower end at zero is not positive: the value equal to its bound, or
+    # a value of 0 that is itself the lower end
+    one = ExtendedReal(mpf(1), 50)
+    assert cli._sign_dict(SeriesResult(mpf(1), 1, one, "t"), 20)["positive"] is False
+    assert cli._sign_dict(SeriesResult(mpf(0), 1, one, "t", positive_terms=True),
+                          20)["positive"] is False
 
 
 @pytest.mark.parametrize("argv", [

@@ -458,9 +458,8 @@ def test_verifier_route_encloses_exact_sum(identity):
     route = verify_identity(identity, terms=N, precision=30).route_a[1]
     exact = getattr(digit_series, DIGIT_ROUTES[identity])(N, exact_limit=N)
     assert exact.is_exact_rational() and not route.is_exact_rational()
-    enclosure = route.enclosure()
-    assert exact_value(enclosure.lower.value) <= exact.partial_sum \
-        <= exact_value(enclosure.upper.value)
+    lo, hi = route.enclosure()
+    assert exact_value(lo) <= exact.partial_sum <= exact_value(hi)
 
 
 @pytest.mark.parametrize("identity", ["log2", "p01"])

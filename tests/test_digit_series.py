@@ -82,9 +82,9 @@ def test_fixed_point_continuation_encloses_exact_sum(fn, N, exact_limit):
     # a point enclosure of the exact partial sum, converted at twice the
     # precision so that its own rounding cannot reach the continuation's ends
     point = replace(exact, tail_bound=ExtendedReal(0, 2 * exact.tail_bound.precision))
-    inner, outer = point.enclosure(), cont.enclosure()
-    assert outer.lower.value <= inner.lower.value
-    assert inner.upper.value <= outer.upper.value
+    (inner_lo, inner_hi), (outer_lo, outer_hi) = point.enclosure(), cont.enclosure()
+    assert outer_lo <= inner_lo
+    assert inner_hi <= outer_hi
     # the floors and the downward conversion keep the value a lower end
     assert _exact(cont.value().value) <= exact.partial_sum
     widening = cont.tail_bound.value - exact.tail_bound.value
@@ -125,9 +125,9 @@ def _limit(name):
     pochtipochti_series, main_series,
 ])
 def test_series_enclosure_contains_limit(fn):
-    r = fn(50_000)
+    lo, hi = fn(50_000).enclosure()
     limit = _limit(fn.__name__)
-    assert r.enclosure().contains(limit.value)
+    assert lo <= limit.value <= hi
 
 
 @pytest.mark.parametrize("fn,minimum", [
@@ -169,23 +169,29 @@ def test_monotone_convergence_positive_series():
 
 @pytest.mark.parametrize("positive", [True, False])
 def test_enclosure_ends_at_lower_precision(positive):
-    # each end is computed once at the lower of the two precisions (plus
-    # guard digits) and carries that precision
+    # a 40-digit value with a 20-digit bound: each end is computed once at
+    # the bound's precision (plus guard digits), rounded outward
     third = Fraction(1, 3)
-    r = SeriesResult(ExtendedReal(third, 40), 1, ExtendedReal(third / 100, 20),
+    r = SeriesResult(ExtendedReal(third, 40).value, 1, ExtendedReal(third / 100, 20),
                      "mixed", positive_terms=positive)
-    enc = r.enclosure()
-    assert enc.lower.precision == enc.upper.precision == 20
+    lo, hi = r.enclosure()
     v, t = r.value().value, r.tail_bound.value
     with workdps(30):
-        assert enc.upper.value == v + t
-        assert enc.lower.value == (v if positive else v - t)
+        assert hi == mp.fadd(v, t, rounding="c")
+        assert lo == (v if positive else mp.fsub(v, t, rounding="f"))
+
+
+def test_enclosure_rounds_outward():
+    # 1 -+ 10^-70 needs 71 digits; at 50 + guard digits to nearest both
+    # ends would be 1, outward they still enclose it
+    lo, hi = SeriesResult(mpf(1), 1, ExtendedReal(mpf("1e-70"), 50), "t").enclosure()
+    tiny = Fraction(1, 10 ** 70)
+    assert _exact(lo) <= 1 - tiny and 1 + tiny <= _exact(hi)
 
 
 def test_series_result_tail_bound_nonnegative():
-    from zetasum.numerics import ExtendedReal
     with pytest.raises(DomainError):
-        SeriesResult(ExtendedReal(1, 20), 1,
+        SeriesResult(mpf(1), 1,
                      ExtendedReal(-1, 20), "bad")
 
 
@@ -225,8 +231,8 @@ def test_exact_limit_below_one_rejected(name, first):
     # exact sum
     cont, exact = fn(N, exact_limit=1), fn(N, exact_limit=N)
     assert exact.is_exact_rational() and not cont.is_exact_rational()
-    enclosure = cont.enclosure()
-    assert _exact(enclosure.lower.value) <= exact.partial_sum <= _exact(enclosure.upper.value)
+    lo, hi = cont.enclosure()
+    assert _exact(lo) <= exact.partial_sum <= _exact(hi)
 
 
 @pytest.mark.parametrize("name,first", SERIES_FIRST)
@@ -273,9 +279,9 @@ def test_exact_limit_boundary(name, first, limit):
     N = first + limit
     above = fn(N, exact_limit=limit)
     assert not above.is_exact_rational()
-    enclosure = above.enclosure()
+    lo, hi = above.enclosure()
     exact = fn(N, exact_limit=N).partial_sum
-    assert _exact(enclosure.lower.value) <= exact <= _exact(enclosure.upper.value)
+    assert _exact(lo) <= exact <= _exact(hi)
     # above the limit the limit itself no longer matters
     for N in (first + limit, first + limit + 1):
         lowest, highest = fn(N, exact_limit=1), fn(N, exact_limit=N - first)
@@ -306,8 +312,8 @@ def test_block_continuation_encloses_exact_sum(name, N, exact_limit, precision):
     assert not r.is_exact_rational()
     exact = _exact_sum(name, N)
     value = _exact(r.value().value)
-    enclosure = r.enclosure()
-    assert _exact(enclosure.lower.value) <= exact <= _exact(enclosure.upper.value)
+    lo, hi = r.enclosure()
+    assert _exact(lo) <= exact <= _exact(hi)
     # blocks, single terms and the conversion all round down
     assert value <= exact
     with workdps(precision + 20):
@@ -426,5 +432,6 @@ def test_high_degree_blocks_enclose_constant(fn, constant):
     # moment tables to level ~95, against the constant at 130 digits
     r = fn(10 ** 30, precision=110)
     assert r.tail_bound.value < mpf("1e-58")
+    lo, hi = r.enclosure()
     with workdps(130):
-        assert r.enclosure().contains(constant())
+        assert lo <= constant() <= hi

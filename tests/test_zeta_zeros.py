@@ -710,6 +710,17 @@ def test_rows_past_the_int_digit_limit_round_once(dps, tmp_path):
         assert table.ordinates[0]._mpf_ == once[0]
 
 
+@pytest.mark.parametrize("dps", [30, 1500])
+def test_plain_rows_past_the_exponent_cap_round_once(dps):
+    # 15,001 fraction digits put a plain row's Decimal exponent past
+    # _EXACT_EXPONENT, which caps exponent-form rows only: the row is still
+    # its exact ratio rounded once, below 1 and above it
+    with workdps(dps):
+        for text in ("0." + "1" * 15_001, "14." + "1" * 15_001):
+            once = from_rational(*Decimal(text).as_integer_ratio(), mp.prec, round_nearest)
+            assert zeta_zeros._parse_ordinate(text, {})._mpf_ == once, text[:20]
+
+
 def test_long_row_below_one_is_named_clipped(tmp_path):
     # a row below 1 past int()'s limit is read exactly and rounded once,
     # as a row above 1 is; a row of over 5000 characters that does not

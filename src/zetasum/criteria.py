@@ -199,9 +199,7 @@ def li_lambda(
             s = bc - 53 if bc > 53 else 0
             h = ldexp(m >> s, min(e + s - E, 300 - 53))  # below 2^300
             cubes.append(1 / (h * h * h))
-        for g in zeros.ordinates:
             # v_1 = x/2 = 2/(4 m^2 2^(2e) + 1) for gamma = m 2^e
-            _, m, e, _ = g._mpf_
             if e < 0:
                 v1 = (1 << (B + 1 - 2 * e)) // ((m * m << 2) + (1 << -2 * e))
             else:

@@ -79,6 +79,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, chain, repeat
 from math import comb, gcd, perm
 from operator import lshift
@@ -145,7 +146,7 @@ class SeriesResult:
     positive_terms: bool = False
 
     def __post_init__(self):
-        if self.tail_bound.value < 0:
+        if not self.tail_bound.value >= 0:  # NaN too
             raise DomainError("tail_bound must be nonnegative")
 
     def value(self) -> ExtendedReal:
@@ -238,7 +239,7 @@ def _from_fixed(acc: int, B: int, floors: int) -> Tuple[mpf, mpf]:
     return value, mp.ldexp(ulps, -B)
 
 
-def _moments(j: int, degree: int, cache: list) -> list:
+def _moments(j: int, degree: int, table: list) -> list:
     """The centred moments S_j(0..degree) (and possibly more; see the
     module docstring), by doubling: r < 2^i is r' or 2^h + r' with
     r' < 2^h, h = i - 1, whose rho is rho' -+ 2^h and 2 s(r) - i is
@@ -250,28 +251,30 @@ def _moments(j: int, degree: int, cache: list) -> list:
     degrees zeroed at even d.  The table of the (E + 2^h)^m a grows by one
     antidiagonal per degree, by shifts and additions alone; each level
     keeps its last two, so one more degree costs O(degree) per level.
-    cache[i] = (S, dX, dS) holds level i: S[d] = S_i(d) for d < len(S), and
-    the antidiagonals that build it; _sum_series keeps one cache per call.
+    table[i] = (S, dX, dS) holds level i: S[d] = S_i(d) for d < len(S), and
+    the antidiagonals that build it.  One table serves one _sum_series call,
+    not a memo: at high precision its integers run to thousands of bits.
     """
-    while len(cache) <= j:
-        cache.append(([], [], []))
-    for d in range(len(cache[j][0]), degree + 1):
+    while len(table) <= j:
+        table.append(([], [], []))
+    for d in range(len(table[j][0]), degree + 1):
         for i in range(j + 1):
-            S, dX, dS = cache[i]
+            S, dX, dS = table[i]
             if len(S) > d:
                 continue
             if i == 0:  # r = 0 only, rho = 0
                 S.append(int(d == 0))
                 continue
-            Sh, h = cache[i - 1][0], i - 1
+            Sh, h = table[i - 1][0], i - 1
             # dX[m] = ((E + 2^h)^m X_h)(d - m): dX[m] plus 2^h times the
             # previous degree's dX[m] gives dX[m + 1]; likewise dS for S_h
             dX[:] = accumulate(chain((0 if d & 1 else Sh[d],), map(lshift, dX, repeat(h))))
             dS[:] = accumulate(chain((Sh[d],), map(lshift, dS, repeat(h))))
             S.append(2 * (dS if d & 1 else dX)[-1])
-    return cache[j][0]
+    return table[j][0]
 
 
+@cache
 def _least_level(k: int, L: int, prec: int) -> int:
     """The least block level j >= 1 such that every level from j to L - 5
     pays at bit length L, or L - 4 if L - 5 does not (no block there).
@@ -300,15 +303,12 @@ def _pieces(lo: int, hi: int, k: int, prec: int):
     """lo..hi as pieces (x, y, j): the block x..y = x + 2^j - 1 when j > 0,
     else the single indices x..y.  A block is the largest aligned one with
     2^j <= x/16 that starts at x and fits, taken when j is at least
-    _least_level at L(x); otherwise the indices run singly up to the next
-    multiple of 2^least (or the next octave, or hi)."""
-    levels = {}  # _least_level by bit length
+    _least_level at L(x), a memo; otherwise the indices run singly up to
+    the next multiple of 2^least (or the next octave, or hi)."""
     n = start = lo
     while n <= hi:
         L = n.bit_length()
-        if L not in levels:
-            levels[L] = _least_level(k, L, prec)
-        least = levels[L]
+        least = _least_level(k, L, prec)
         j = min((n & -n).bit_length(), L - 4, (hi - n + 1).bit_length()) - 1
         if j >= least:
             if start < n:
@@ -321,7 +321,7 @@ def _pieces(lo: int, hi: int, k: int, prec: int):
         yield start, hi, 0
 
 
-def _block_sum(spec: _Spec, x: int, j: int, B: int, cache: list) -> int:
+def _block_sum(spec: _Spec, x: int, j: int, B: int, table: list) -> int:
     """The kernel summed over the block x..x + 2^j - 1, in units of 2^-B:
     at most the true sum and less than k + 3 units below it (see the module
     docstring for the centred expansion and its remainder)."""
@@ -336,7 +336,7 @@ def _block_sum(spec: _Spec, x: int, j: int, B: int, cache: list) -> int:
     D = max(1, -(-excess // (q + 1)))
     while (top * comb(D + k, k)).bit_length() > (q + 1) * D - excess:
         D += 1
-    S = _moments(j, D - 1, cache)
+    S = _moments(j, D - 1, table)
     # (-1)^d g_d S_j(d), twice the degree-d coefficient
     coeffs = [(-c if d & 1 else 2 * w0 + c * j) * S[d] for d in range(D)]
     total = -1  # the remainder's unit
@@ -387,7 +387,7 @@ def _sum_series(spec: _Spec, last: int, exact_limit: int, precision: int) -> Ser
         B = mp.prec + floors_max.bit_length() + _FIXED_GUARD_BITS
         acc = (spec.offset.numerator << B) // spec.offset.denominator
         floors = 1 + len(ends)
-        moments = []  # _moments' cache, for this call only
+        moments = []  # _moments' table, for this call only
         for p, q in ends:
             acc += (p << B) // q
         for x, y, j in _pieces(lo, hi, k, mp.prec):

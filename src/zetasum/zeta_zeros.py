@@ -48,9 +48,10 @@ from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import count, repeat
+from operator import itemgetter
 
 from mpmath import mp, mpf, mpc, workdps, workprec
-from mpmath.libmp import MPZ, fzero, mpf_cos_sin, mpf_mul, pi_fixed, round_nearest
+from mpmath.libmp import MPZ, fzero, list_primes, mpf_cos_sin, mpf_mul, pi_fixed, round_nearest
 
 from .numerics import (
     DEFAULT_PRECISION,
@@ -133,48 +134,32 @@ class ZeroTable:
 # ---------------------------------------------------------------------------
 # Hardy Z via Euler-Maclaurin on the critical line
 
-_primes: list = []  # every prime up to _sieved, ascending
-_sieved = 1
-_prime_cache: dict = {}
-_em_coeff_cache: dict = {}
+@cache
+def _prime_rows(limit: int, prec: int) -> list:
+    """(p, ln p as a raw mpf, floor(2^prec / sqrt(p))) for the primes
+    p <= limit, from mpmath's sieve, ln p rounded at binary precision prec:
+    60 and 61 bits both read as dps 17, so the memo's key is the binary one."""
+    with workprec(prec):
+        return [(p, mp.ln(p)._mpf_, math.isqrt((1 << 2 * prec) // p))
+                for p in list_primes(limit)]
 
 
 def _prime_table(N: int) -> list:
-    """Cached (p, ln p as a raw mpf, floor(2^prec / sqrt(p))) for the
-    primes p <= N at the current precision prec.  The primes come from a
-    cached sieve, extended to at least twice its old limit when N lies
-    beyond it.
-
-    Keyed by mp.prec: binary precisions 60 and 61 both read as dps 17.
-    """
-    global _sieved
-    if N > _sieved:
-        limit = max(N, 2 * _sieved)
-        flags = bytearray([1]) * (limit + 1)
-        flags[:2] = b"\0\0"
-        for p in range(2, math.isqrt(limit) + 1):
-            if flags[p]:
-                flags[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
-        _primes[:] = [p for p in range(limit + 1) if flags[p]]
-        _sieved = limit
-    K = bisect_right(_primes, N)
-    tab = _prime_cache.setdefault(mp.prec, [])
-    for p in _primes[len(tab):K]:
-        tab.append((p, mp.ln(p)._mpf_, math.isqrt((1 << 2 * mp.prec) // p)))
-    return tab[:K]
+    """The rows of _prime_rows for the primes p <= N at the current
+    precision, cut from the table up to the power of two above N, so that
+    nearby N share one memoised table."""
+    rows = _prime_rows(1 << N.bit_length(), mp.prec)
+    return rows[:bisect_right(rows, N, key=itemgetter(0))]
 
 
-def _em_coefficients(k: int, B: int) -> list:
-    """floor(2 zeta(2j) 2^B) for j = 1..k, cached per B.  With them
+@cache
+def _em_coefficient(j: int, B: int) -> int:
+    """floor(2 zeta(2j) 2^B), memoised.  With it
     B_2j/(2j)! = (-1)^(j+1) 2 zeta(2j)/(2 pi)^(2j) is a number in
     (2, pi^2/3] times a power of 1/(2 pi) that the caller folds into its
     recurrence, so no coefficient is stored below 2^-B."""
-    tab = _em_coeff_cache.setdefault(B, [])
-    if len(tab) < k:
-        with workprec(B + 10):
-            while len(tab) < k:
-                tab.append(_fixed((2 * mp.zeta(2 * len(tab) + 2))._mpf_, B))
-    return tab
+    with workprec(B + 10):
+        return _fixed((2 * mp.zeta(2 * j))._mpf_, B)
 
 
 def _fixed(x: tuple, B: int) -> int:
@@ -298,7 +283,7 @@ def _zeta_half_raw(t: mpf) -> tuple:
     total = total_of(bracket)
     prev = None
     for k in count(1):
-        z = _em_coefficients(k, B)[k - 1] * (1 if k % 2 else -1)
+        z = _em_coefficient(k, B) * (1 if k % 2 else -1)
         c = (z * v[0]) >> B, (z * v[1]) >> B
         with_c = bracket[0] + c[0], bracket[1] + c[1]
         total_c = total_of(with_c)
@@ -392,7 +377,7 @@ def _hardy_z_float(t: float) -> float:
 def hardy_z(t, precision: int = DEFAULT_PRECISION) -> ExtendedReal:
     """The real-valued Hardy Z function; its sign changes locate zeros."""
     tv = ExtendedReal(t, precision)
-    if tv.value <= 0:
+    if not tv.value > 0:  # NaN too
         raise DomainError("hardy_z requires t > 0")
     if tv.value > SUPPORTED_HEIGHT:
         raise DomainError(f"t={float(tv.value)} above supported height {SUPPORTED_HEIGHT}")
@@ -675,14 +660,15 @@ def _parse_ordinate(text: str, powers: dict) -> mpf:
 
     A row of ASCII digits and a point (the form write_zero_table writes) is
     m / 10^k, k its fraction digits; powers caches (10^k, its bit length)
-    per k, for one load.  Past int()'s 4,300-digit limit such a row, at any
-    length, is its exact ratio m / den from decimal.Decimal, as is any other
-    ASCII row without "_" that Decimal reads as finite, of exponent at most
-    _EXACT_EXPONENT in magnitude.  Then in integers: q = floor(m 2^s / den)
-    has at least prec + 3 bits, its last bit set when the division leaves a
-    remainder (a sticky bit, so no inexact quotient reads as a tie), and is
-    rounded once to prec bits and shifted to an odd mantissa, mpmath's
-    normal form.
+    per k, for one load only: 10^k is as long as the row, and a memo across
+    loads would keep every table's powers alive.  Past int()'s 4,300-digit
+    limit such a row, at any length, is its exact ratio m / den from
+    decimal.Decimal, as is any other ASCII row without "_" that Decimal
+    reads as finite, of exponent at most _EXACT_EXPONENT in magnitude.
+    Then in integers: q = floor(m 2^s / den) has at least prec + 3 bits, its
+    last bit set when the division leaves a remainder (a sticky bit, so no
+    inexact quotient reads as a tie), and is rounded once to prec bits and
+    shifted to an odd mantissa, mpmath's normal form.
 
     That is bit for bit mpf(text) while mpf(text) rounds once: while
     |E - j| <= 400, E the exponent and j the fraction digits short of

@@ -195,6 +195,11 @@ def test_series_result_tail_bound_nonnegative():
                      ExtendedReal(-1, 20), "bad")
 
 
+def test_series_result_tail_bound_not_nan():
+    with pytest.raises(DomainError):
+        SeriesResult(mpf(1), 1, ExtendedReal(mpf("nan"), 20), "x")
+
+
 # every generated series function with its first index
 SERIES_FIRST = [
     ("gamma_vacca_alternating", 2), ("log4pi_alternating", 2), ("gamma_paired", 1),

@@ -47,12 +47,12 @@ def test_hardy_z_reference_values(t, ref):
         assert abs(z.value - mpf(ref)) < mpf(10) ** -28
 
 
-def test_hardy_z_caches_keyed_by_binary_precision(monkeypatch):
+def test_hardy_z_caches_keyed_by_binary_precision():
     # 60 and 61 bits both read as dps 17: caches keyed by dps would hand
     # 60-bit logarithms to a 61-bit evaluation (its last bit moved at 100)
     def z_61_bits(warm_at_60_bits):
-        monkeypatch.setattr(zeta_zeros, "_prime_cache", {})
-        monkeypatch.setattr(zeta_zeros, "_em_coeff_cache", {})
+        zeta_zeros._prime_rows.cache_clear()
+        zeta_zeros._em_coefficient.cache_clear()
         if warm_at_60_bits:
             with workprec(60):
                 zeta_zeros._hardy_z_raw(mpf(100))
@@ -204,6 +204,39 @@ def test_hardy_z_domain():
         hardy_z(-5)
     with pytest.raises(DomainError):
         hardy_z(SUPPORTED_HEIGHT + 1)
+
+
+def test_hardy_z_nan_is_domain_error():
+    for t in (float("nan"), "nan"):
+        with pytest.raises(DomainError):
+            hardy_z(t)
+
+
+@pytest.mark.parametrize("prec", [60, 61, 200])
+def test_prime_table_rows(prec):
+    # the N run down and back up past powers of two, so a cut of a larger
+    # memoised table and a fresh one are both read; sympy is the primes'
+    # oracle only, and not a dependency
+    sympy = pytest.importorskip("sympy")
+    zeta_zeros._prime_rows.cache_clear()
+    with workprec(prec):
+        for N in (4097, 1, 2, 12, 100, 4096, 8193):
+            rows = zeta_zeros._prime_table(N)
+            assert [p for p, _, _ in rows] == list(sympy.primerange(2, N + 1))
+            for p, ln_p, rsqrt in rows:
+                assert ln_p == mp.ln(p)._mpf_
+                assert rsqrt == math.isqrt((1 << 2 * prec) // p)
+
+
+@pytest.mark.parametrize("B", [64, 80, 200])
+def test_em_coefficients_match_bernoulli(B):
+    # 2 zeta(2j) = |B_2j| (2 pi)^(2j) / (2j)!, the Bernoulli number exact
+    for j in range(1, 41):
+        with workprec(B + 400):
+            p, q = mp.bernfrac(2 * j)
+            ref = int(mp.floor(abs(mpf(p) / q) * (2 * mp.pi) ** (2 * j)
+                               / mp.factorial(2 * j) * mpf(2) ** B))
+        assert abs(zeta_zeros._em_coefficient(j, B) - ref) <= 1
 
 
 def test_find_zeros_100(computed_table_100):

@@ -328,7 +328,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return globals()[args.run](args)
-    except (ValueError, FileNotFoundError) as exc:  # DomainError, ZeroTableError
+    except (ValueError, OSError) as exc:  # DomainError, ZeroTableError; a file not read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (MissedZeroError, ArithmeticError) as exc:

@@ -148,6 +148,8 @@ class SeriesResult:
     def __post_init__(self):
         if not self.tail_bound.value >= 0:  # NaN too
             raise DomainError("tail_bound must be nonnegative")
+        if not (isinstance(self.partial_sum, Fraction) or mp.isfinite(self.partial_sum)):
+            raise DomainError("partial_sum must be finite")  # a Fraction always is
 
     def value(self) -> ExtendedReal:
         return ExtendedReal(self.partial_sum, self.tail_bound.precision)

@@ -46,7 +46,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import count, repeat
 from operator import itemgetter
 
@@ -660,8 +660,9 @@ def _parse_ordinate(text: str, powers: dict) -> mpf:
 
     A row of ASCII digits and a point (the form write_zero_table writes) is
     m / 10^k, k its fraction digits; powers caches (10^k, its bit length)
-    per k, for one load only: 10^k is as long as the row, and a memo across
-    loads would keep every table's powers alive.  Past int()'s 4,300-digit
+    per k, for one parse of a file only: 10^k is as long as the row, and a
+    memo across parses would keep every file's powers alive, where
+    load_zero_table's memo keeps only the tables.  Past int()'s 4,300-digit
     limit such a row, at any length, is its exact ratio m / den from
     decimal.Decimal, as is any other ASCII row without "_" that Decimal
     reads as finite, of exponent at most _EXACT_EXPONENT in magnitude.
@@ -717,6 +718,14 @@ def _parse_ordinate(text: str, powers: dict) -> mpf:
     return mp.make_mpf((sign, MPZ(q), shift - s, q.bit_length()))
 
 
+# tables the ingest memo holds, least recently used dropped first.  A pass of
+# the benchmark's zeros workload loads one table at one precision six times
+# (one parse, five hits); the test suite makes 149 loads and 38 hits, and an
+# unbounded memo would make 39 hits and hold 91 tables.  The shipped table
+# takes ~2.5 MB at 50 digits, ~4 MB at 320
+_TABLES_HELD = 4
+
+
 def load_zero_table(
     path,
     claimed_accuracy: float | None = None,
@@ -724,30 +733,49 @@ def load_zero_table(
 ) -> ZeroTable:
     """Parse a plain-text zero table at precision + _GUARD digits: one
     ascending decimal ordinate per line, '#' comments and blank lines
-    ignored, read one line at a time.  Each row is rounded once to nearest
-    at that precision by exact integer division (_parse_ordinate): a row of
-    digits and a point (past int()'s limit too), and any other form
+    ignored; lines end in LF, CRLF or CR.  Each row is rounded once to
+    nearest at that precision by exact integer division (_parse_ordinate):
+    a row of digits and a point (past int()'s limit too), and any other form
     decimal.Decimal reads, signed or in exponent form; nan, inf and other
-    text go to mpf(row).  The claimed accuracy, unless given, is the
-    one stated by a first line in write_zero_table's form, else 1e-10.  A
-    ZeroTableError names the line of the first bad ordinate (unparsable,
-    shown to 60 characters; not positive and finite; or not above the one
-    before); one is raised too if the count fails zero_count_check."""
+    text go to mpf(row).  The claimed accuracy, unless given, is the one
+    stated by a first line in write_zero_table's form, else 1e-10.  A
+    ZeroTableError names the line of the first bad ordinate (not UTF-8;
+    unparsable, shown to 60 characters; not positive and finite; or not
+    above the one before); one is raised too if the count fails
+    zero_count_check.
+
+    The file is read whole, and the table is memoised on its bytes and the
+    two other arguments, so a process that loads one file again gets the
+    same ZeroTable (it is immutable) without parsing it again, and a file
+    rewritten in place is parsed afresh.  Errors are not memoised, and the
+    memo holds at most _TABLES_HELD tables, the least recently used dropped
+    first.  A one-shot CLI call loads its table once and gains nothing."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return _ingest(data, claimed_accuracy, precision)  # positional: one key per call
+
+
+@lru_cache(maxsize=_TABLES_HELD)
+def _ingest(data: bytes, claimed_accuracy, precision) -> ZeroTable:
+    """load_zero_table on the file's bytes; a pure function of its arguments."""
     ordinates, line_numbers, header, powers = [], [], None, {}
     with workdps(precision + _GUARD):
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if lineno == 1:
-                    header = re.fullmatch(_HEADER, text)
-                if not text or text.startswith("#"):
-                    continue
-                try:
-                    ordinates.append(_parse_ordinate(text, powers))
-                except Exception:
-                    clipped = text if len(text) <= 60 else text[:57] + "..."
-                    raise ZeroTableError(f"cannot parse ordinate {clipped!r}", lineno) from None
-                line_numbers.append(lineno)
+        for lineno, raw in enumerate(data.splitlines(), start=1):
+            try:
+                text = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ZeroTableError(f"cannot decode row as UTF-8: byte {raw[exc.start]:#04x} "
+                                     f"at column {exc.start + 1}", lineno) from None
+            if lineno == 1:
+                header = re.fullmatch(_HEADER, text)
+            if not text or text.startswith("#"):
+                continue
+            try:
+                ordinates.append(_parse_ordinate(text, powers))
+            except Exception:
+                clipped = text if len(text) <= 60 else text[:57] + "..."
+                raise ZeroTableError(f"cannot parse ordinate {clipped!r}", lineno) from None
+            line_numbers.append(lineno)
         if claimed_accuracy is None:
             claimed_accuracy = header.group(1) if header else 1e-10
         try:
@@ -755,7 +783,8 @@ def load_zero_table(
         except ZeroTableError as exc:
             raise ZeroTableError(str(exc), line_numbers[exc.index]) from None
     if ordinates:
-        T = float(table.max_ordinate() + mpf(1) / 1000)
+        with workprec(53):  # in doubles, whatever the caller's precision
+            T = float(table.max_ordinate() + mpf(1) / 1000)
         if not zero_count_check(table, T):
             raise ZeroTableError(
                 f"count check failed: {len(table)} ordinates up to {T} "

@@ -235,6 +235,30 @@ def test_zeros_check_bad_file(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_zeros_check_row_not_utf8(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"14.1347251417347\n21.02\xff\n")
+    code, out, err = run(capsys, "zeros", "check", str(bad))
+    assert (code, out) == (EXIT_FAIL, "")
+    assert err == "check failed: line 2: cannot decode row as UTF-8: byte 0xff at column 6\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeros", "check", "{dir}"),
+    ("li", "2", "--zeros-file", "{dir}"),
+    ("zeros", "export", ZEROS_FILE, "--output", "{dir}"),
+    ("zeros", "export", ZEROS_FILE, "--output", "{file}/out.txt"),
+])
+def test_unreadable_or_unwritable_path_usage_error(capsys, tmp_path, argv):
+    # a directory, or a path under a file, is an OSError, not a traceback
+    # with the failed-verdict exit code
+    (tmp_path / "file").write_text("")
+    argv = [a.format(dir=tmp_path, file=tmp_path / "file") for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: [Errno ")
+
+
 def test_zeros_find_requires_height(capsys):
     code, _, err = run(capsys, "zeros", "find")
     assert code == EXIT_USAGE

@@ -200,6 +200,13 @@ def test_series_result_tail_bound_not_nan():
         SeriesResult(mpf(1), 1, ExtendedReal(mpf("nan"), 20), "x")
 
 
+@pytest.mark.parametrize("value", ["nan", "+inf", "-inf"])
+def test_series_result_partial_sum_finite(value):
+    # an enclosure of (nan, nan) or (inf, inf) encloses nothing
+    with pytest.raises(DomainError, match="partial_sum"):
+        SeriesResult(mpf(value), 1, ExtendedReal(mpf(1), 20), "x")
+
+
 # every generated series function with its first index
 SERIES_FIRST = [
     ("gamma_vacca_alternating", 2), ("log4pi_alternating", 2), ("gamma_paired", 1),

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -871,6 +872,94 @@ def test_load_rejects_nan(tmp_path):
     with pytest.raises(ZeroTableError) as exc:
         load_zero_table(path)
     assert exc.value.line_number == 2
+
+
+def test_load_names_a_row_not_utf8(tmp_path):
+    path = tmp_path / "bad.txt"
+    for data, line in ((b"14.1347251417347\n21.02\xff\n", 2), (b"# \xe9\n14.13\n", 1)):
+        path.write_bytes(data)
+        with pytest.raises(ZeroTableError) as exc:
+            load_zero_table(path)
+        assert exc.value.line_number == line
+    assert str(exc.value) == "line 1: cannot decode row as UTF-8: byte 0xe9 at column 3"
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+def test_load_names_the_line_whatever_the_line_ends(tmp_path, eol):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(eol.join(["# comment", "14.13", "not-a-number", "21.02", ""]).encode())
+    with pytest.raises(ZeroTableError) as exc:
+        load_zero_table(path)
+    assert exc.value.line_number == 3
+    path.write_bytes(eol.join(["# comment", "", "14.13", "21.02", "20.0"]).encode())
+    with pytest.raises(ZeroTableError) as exc:
+        load_zero_table(path)
+    assert exc.value.line_number == 5
+
+
+TWO_ROWS = "14.1347251417347\n21.0220396387716\n"
+
+
+def test_load_memoised_on_content(tmp_path):
+    from pathlib import Path
+    assert load_zero_table(ZEROS_FILE) is load_zero_table(Path(ZEROS_FILE))
+    copy = tmp_path / "copy.txt"
+    copy.write_bytes(Path(ZEROS_FILE).read_bytes())
+    assert load_zero_table(copy) is load_zero_table(ZEROS_FILE)
+
+
+def test_load_sees_a_file_rewritten_in_place(tmp_path):
+    # same size and mtime, one digit changed: the content is the key
+    path = tmp_path / "z.txt"
+    path.write_text(TWO_ROWS)
+    first = load_zero_table(path)
+    before = path.stat()
+    path.write_text(TWO_ROWS.replace("716", "717"))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    second = load_zero_table(path)
+    with workdps(DEFAULT_PRECISION + _GUARD):
+        assert second.ordinates[1] == mpf("21.0220396387717") > first.ordinates[1]
+
+
+def test_load_memo_keyed_by_precision_and_accuracy(tmp_path):
+    path = tmp_path / "z.txt"
+    path.write_text(TWO_ROWS)
+    base = load_zero_table(path)
+    low = load_zero_table(path, precision=30)
+    assert low is load_zero_table(path, precision=30) is not base
+    assert low.ordinates[0] != base.ordinates[0]
+    assert low.ordinates[0].man_exp[0].bit_length() < base.ordinates[0].man_exp[0].bit_length()
+    stated = load_zero_table(path, claimed_accuracy=1e-12)
+    assert stated.claimed_accuracy == mpf(1e-12)
+    assert base.claimed_accuracy == mpf(1e-10)
+    assert load_zero_table(path) is base
+
+
+def test_load_errors_not_memoised(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("14.13\n21.02\n20.0\n")
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ZeroTableError) as exc:
+            load_zero_table(path)
+        messages.append(str(exc.value))
+    assert messages == [messages[0]] * 2 and messages[0].startswith("line 3: ")
+    path.write_text("14.13\n21.02\n")
+    assert len(load_zero_table(path)) == 2
+
+
+def test_load_memo_evicts_least_recently_used(tmp_path):
+    held = zeta_zeros._TABLES_HELD
+    paths = [tmp_path / f"z{i}.txt" for i in range(held + 1)]
+    for i, path in enumerate(paths):
+        path.write_text(f"# table {i}\n" + TWO_ROWS)
+    tables = [load_zero_table(path) for path in paths]
+    assert zeta_zeros._ingest.cache_info().currsize == held
+    assert load_zero_table(paths[1]) is tables[1]
+    again = load_zero_table(paths[0])
+    assert again is not tables[0] and again == tables[0]
 
 
 def test_load_count_check_catches_gap(tmp_path, computed_table_100):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Union
 
 from mpmath import mp, mpf, workdps
@@ -34,6 +35,14 @@ def _rounding_slack(precision: int) -> mpf:
     absolute error (callers scale it where a value may exceed one).  It is
     evaluated at the caller's working precision."""
     return mpf(10) ** (-(precision - 2))
+
+
+@cache
+def _bernoulli(n: int) -> Fraction:
+    """The Bernoulli number B_n as an exact Fraction, from mp.bernfrac,
+    memoised by index: a pure table, independent of the precision."""
+    return Fraction(*mp.bernfrac(n))
+
 
 Number = Union[int, float, Fraction, "ExtendedReal"]
 

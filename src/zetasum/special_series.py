@@ -9,7 +9,13 @@ times an integer polynomial in ln t, and replacing each coefficient by
 its absolute value leaves integrals of t^-(p+1) ln^a t, which are
 incomplete gamma functions of integer order and so finite sums in closed
 form.  The majorant therefore needs no root isolation, whatever the sign
-changes of f^(p).
+changes of f^(p).  The whole evaluation is in fixed point, in Python
+integers: ln n for every n <= N comes from one table, ln 2 and each prime
+by an atanh series of floors and each composite as the sum of two
+entries; the sum, the integral, f(N)/2 and each correction (with B_2k an
+exact Fraction) are floors whose losses are counted, and the majorant is
+an integer rounded up.  The floor count and one conversion ulp are the
+rounding in the tail bound.
 
 The fractional-part integral is summed in closed form: partial fractions
 on each unit interval, then summation by parts over the intervals, so N
@@ -29,17 +35,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from math import factorial, isqrt
 
 from mpmath import mp, mpf, workdps
+from mpmath.libmp import list_primes
 
 from .numerics import (
     DEFAULT_PRECISION,
     DomainError,
     ExtendedReal,
     _GUARD,
+    _bernoulli,
     _rounding_slack,
 )
-from .digit_series import _FIXED_GUARD_BITS, SeriesResult
+from .digit_series import _FIXED_GUARD_BITS, SeriesResult, _from_fixed
 
 MAX_STIELTJES_INDEX = 8
 # The automatic correction order stops here even if 10^-(P+2) is not met;
@@ -92,32 +101,74 @@ def _log_power_derivative_coeffs(m: int):
         cur, j = nxt, j + 1
 
 
-def _eval_log_poly(coeff: dict, ln_pows: list, t: mpf, j: int) -> mpf:
-    """t^-(j+1) sum_a c_a ln^a t, with ln_pows[a] = ln^a t."""
-    total = mp.zero
-    for a, c in coeff.items():
-        total += c * ln_pows[a]
-    return total / t ** (j + 1)
+def _two_atanh_inv(q: int, G: int) -> int:
+    """2 atanh(1/q) = sum_j 2 q^-(2j+1)/(2j+1) in units of 2^-G, for q >= 3:
+    one floor per term, floor(2^(G+1)/(q^(2j+1) (2j+1))), as the quotient by
+    q^2 of the previous power's floor is the next power's floor.  The sum
+    stops at the first zero power; with the tail beyond it below one unit,
+    it lies below the true value by less than its term count, at most
+    (G + 1)/3 + 2."""
+    q2 = q * q
+    power = total = (2 << G) // q
+    k = 1
+    while power:
+        power //= q2
+        total += power // (2 * k + 1)
+        k += 1
+    return total
 
 
-def _em_remainder_bound(coeff: dict, p: int, N: int, ln_N: mpf) -> mpf:
-    """2 |B_p|/p! * sum_a |c_a| I_a, a majorant of the Euler-Maclaurin
-    remainder whose first omitted derivative is f^(p) = t^-(p+1) *
-    sum_a c_a ln^a t, with I_a = int_N^inf t^-(p+1) ln^a t dt.
+def _log_table(N: int, F: int) -> list:
+    """L with L[n] <= 2^F ln n < L[n] + 2 bits(n) for n = 1..N, bits(n) the
+    bit length of n (L[0] = 0 is a placeholder).
+
+    The table is built at G = F + g bits, 2^g > F, and shifted down once.
+    A smallest-prime-factor sieve (each prime p up to sqrt(N) marking the
+    multiples from p^2, the smallest last) gives each composite n = p (n/p),
+    whose entry is the sum of two entries.  A prime p takes
+    ln p = ln(p - 1) + 2 atanh(1/(2p - 1)), so ln 2 = 2 atanh(1/3).  Each
+    atanh is below its value by less than 2^g units of 2^-G
+    (_two_atanh_inv), so an entry built from T(n) of them is below by less
+    than T(n) + 1 units of 2^-F after the shift.  T(1) = 0,
+    T(p) = 2 + T((p - 1)/2) for odd p, T(2) = 1 and T(ab) = T(a) + T(b)
+    give T(n) <= 2 log2 n < 2 bits(n) by induction, so T(n) + 1 <= 2 bits(n).
+    """
+    g = F.bit_length()
+    spf = [0] * (N + 1)
+    for p in reversed(list_primes(isqrt(N))):
+        spf[p * p::p] = [p] * len(range(p * p, N + 1, p))
+    table = [0, 0]
+    for n in range(2, N + 1):
+        p = spf[n]
+        table.append(table[p] + table[n // p] if p else
+                     table[n - 1] + _two_atanh_inv(2 * n - 1, F + g))
+    return [x >> g for x in table]
+
+
+def _em_remainder_bound(coeff: dict, p: int, N: int, ln_hi: int, F: int) -> int:
+    """An integer r with r 2^-F >= 2 |B_p|/p! * sum_a |c_a| I_a, a majorant
+    of the Euler-Maclaurin remainder whose first omitted derivative is
+    f^(p) = t^-(p+1) sum_a c_a ln^a t, with I_a = int_N^inf t^-(p+1) ln^a t
+    dt, given ln_hi >= 2^F ln N.
 
     Substituting t = e^u, I_a = int_{ln N}^inf u^a e^(-p u) du
     = N^-p p^-(a+1) e_a with e_a = sum_{i<=a} a!/i! (p ln N)^i, and
-    e_a = a e_(a-1) + (p ln N)^a.
+    e_a = a e_(a-1) + (p ln N)^a.  The powers of p ln N are taken in units
+    of 2^-F from p ln_hi, each product rounded up, and the rest is one
+    exact division rounded up, B_p an exact Fraction.
     """
-    x = p * ln_N
-    e = x_a = mp.one
-    total = mp.zero
-    for a in range(max(coeff) + 1):
+    x = p * ln_hi
+    top = max(coeff)
+    e = x_a = 1 << F
+    total = 0
+    for a in range(top + 1):
         if a:
-            x_a *= x
+            x_a = -(-x_a * x >> F)
             e = a * e + x_a
-        total += abs(coeff.get(a, 0)) * e / p ** (a + 1)
-    return 2 * abs(mp.bernoulli(p)) / mp.factorial(p) * total / mpf(N) ** p
+        total += abs(coeff.get(a, 0)) * e * p ** (top - a)
+    B = _bernoulli(p)
+    den = B.denominator * factorial(p) * p ** (top + 1) * N ** p
+    return -(-2 * abs(B.numerator) * total // den)
 
 
 def stieltjes(req: StieltjesRequest, precision: int = DEFAULT_PRECISION) -> SeriesResult:
@@ -140,46 +191,68 @@ def stieltjes(req: StieltjesRequest, precision: int = DEFAULT_PRECISION) -> Seri
     Euler-Maclaurin series diverges).  An explicit n_terms or
     correction_order is used as given.
 
-    The tail bound is that majorant plus rounding, 2u ((N + m + 4) S +
-    (m + 4) I) for the working-precision sum, where u is the unit roundoff,
-    S the sum of the positive terms f(n) and I = ln^(m+1)(N)/(m+1): each
-    f(n) is off by at most (m + 3) u f(n), each of the N additions by u S,
-    I by (m + 3) u I and its subtraction by u (S + I), and the factor 2
-    covers the corrections and higher orders.  10^-(P-2) (1 + |value|) is
-    added for the result's own digits; it also absorbs the rounding of the
-    majorant.
+    Everything is summed in fixed point with F fraction bits, in Python
+    integers, every step a floor.  ln n for n <= N comes from one table L
+    (_log_table), each entry below 2^F ln n by less than E = 2 bits(N)
+    units.  With c = floor(0.7 bits(N)) + 1 > ln N and D = m c^(m-1),
+    L[n]^m is below (2^F ln n)^m by less than D E 2^(F(m-1)), so the floors
+    lose less than these counts of units:
+      the sum of floor(floor(L[n]^m / 2^(F(m-1))) / n) (floor(2^F / n) at
+        m = 0): 2N + D E (1 + c), as sum 1/n <= 1 + c;
+      the integral, floor(L[N]^(m+1) / ((m+1) 2^(Fm))): c^m E + 1;
+      each power P_a = floor(L[N]^a / 2^(F(a-1))), a <= m: eps = D E + 1,
+        so f(N)/2, floor(P_m / 2N): eps + 1;
+      the k-th correction, floor(B_2k sum_a c_a P_a / ((2k)! N^2k)):
+        eps |B_2k| sum_a |c_a| / ((2k)! N^2k) + 1, rounded up.
+    The first three size F: the working precision plus their bit length
+    plus _FIXED_GUARD_BITS.  Their total with the corrections' is the
+    count digit_series._from_fixed takes, which adds the ulp of the
+    downward conversion; that width and the majorant, rounded up, are the
+    tail bound, with 10^-(P-2) (1 + |value|) added for the result's own
+    digits, which also absorbs the rounding of that sum.
     """
     m = req.m
     N = req.n_terms if req.n_terms is not None else max(10, 4 * precision)
     with workdps(precision + _GUARD):
-        ln_N = mp.ln(N)
+        E = 2 * N.bit_length()
+        c = 7 * N.bit_length() // 10 + 1
+        D = m * c ** (m - 1) if m else 0
+        eps = D * E + 1
+        floors = 2 * N + D * E * (1 + c) + c ** m * E + eps + 2
+        F = mp.prec + floors.bit_length() + _FIXED_GUARD_BITS
+        table = _log_table(N, F)
+        ln_N = table[N]
+
         derivs = _log_power_derivative_coeffs(m)
         order = req.correction_order or 2
         coeffs = list(islice(derivs, order + 3))
-        rem = _em_remainder_bound(coeffs[order + 2], order + 2, N, ln_N)
+        rem = _em_remainder_bound(coeffs[order + 2], order + 2, N, ln_N + E, F)
         if req.correction_order is None:
-            target = mpf(10) ** -(precision + 2)
-            while rem >= target and order < _MAX_AUTO_ORDER:
+            # rem 2^-F >= 10^-(P+2), exactly
+            target = 10 ** (precision + 2)
+            while rem * target >= 1 << F and order < _MAX_AUTO_ORDER:
                 coeffs += islice(derivs, 2)
-                nxt = _em_remainder_bound(coeffs[order + 4], order + 4, N, ln_N)
+                nxt = _em_remainder_bound(coeffs[order + 4], order + 4, N, ln_N + E, F)
                 if nxt >= rem:
                     break
                 order, rem = order + 2, nxt
 
-        acc = mp.zero
-        for n in range(1, N + 1):
-            ln_n = mp.ln(n)
-            acc += ln_n ** m / n
-        integral = ln_N ** (m + 1) / (m + 1)
-        rounding = ((N + m + 4) * acc + (m + 4) * integral) * mp.eps
-        acc -= integral
-        ln_pows = [ln_N ** a for a in range(m + 1)]
-        acc -= _eval_log_poly(coeffs[0], ln_pows, mpf(N), 0) / 2
+        # x^a << F >> F a is floor(x^a / 2^(F(a-1))), and 2^F at a = 0
+        acc = sum((x ** m << F >> F * m) // n for n, x in enumerate(table[1:], 1))
+        acc -= ln_N ** (m + 1) // ((m + 1) << F * m)
+        pows = [ln_N ** a << F >> F * a for a in range(m + 1)]
+        acc -= pows[m] // (2 * N)
+        scale = 1  # (2k)! N^2k
         for k in range(1, order // 2 + 1):
-            d = _eval_log_poly(coeffs[2 * k - 1], ln_pows, mpf(N), 2 * k - 1)
-            acc -= mp.bernoulli(2 * k) / mp.factorial(2 * k) * d
-        bound = rem + rounding + _rounding_slack(precision) * (1 + abs(acc))
-        return SeriesResult(acc, N, ExtendedReal(bound, precision), f"stieltjes[{m}]")
+            coeff, B = coeffs[2 * k - 1], _bernoulli(2 * k)
+            scale *= (2 * k - 1) * 2 * k * N * N
+            den = B.denominator * scale
+            acc -= B.numerator * sum(a_c * pows[a] for a, a_c in coeff.items()) // den
+            floors += -(-eps * abs(B.numerator) * sum(map(abs, coeff.values())) // den) + 1
+        value, width = _from_fixed(acc, F, floors)
+        bound = mp.ldexp(mpf(rem, rounding="c"), -F) + width
+        bound += _rounding_slack(precision) * (1 + abs(value))
+        return SeriesResult(value, N, ExtendedReal(bound, precision), f"stieltjes[{m}]")
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ quarter of the refinement width: a hit leaves a sign change across half
 that width, and only a miss is refined further, by the same loop in mpf.
 One Newton step likewise finds each Gram point, first on theta in
 doubles, then on the exact theta.  The doubles' Bernoulli and Stirling
-coefficients are derived from mp.bernfrac on first use, each an exact
-fraction rounded once.
+coefficients are derived from the exact Bernoulli numbers of
+numerics._bernoulli on first use, each fraction rounded once.
 
 All zeros are represented by their positive ordinate gamma with the point
 taken as 1/2 + i*gamma; every known zero in the supported height range lies
@@ -40,8 +40,10 @@ sums can use.  Reports built on these tables inherit that assumption.
 
 from __future__ import annotations
 
+import codecs
 import math
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Context, Decimal
@@ -58,6 +60,7 @@ from .numerics import (
     DomainError,
     ExtendedReal,
     _GUARD,
+    _bernoulli,
 )
 
 SUPPORTED_HEIGHT = 10_000.0
@@ -328,8 +331,8 @@ def _float_coefficients() -> tuple:
     """theta's Stirling coefficients (1 - 2^(1-2k)) |B_2k| / (4k (2k-1)) for
     k = 1..6, and B_2k/(2k)! for k = 1..42, enough for the corrections of
     _hardy_z_float to fall below 1e-16 at every t up to SUPPORTED_HEIGHT:
-    each an exact Fraction from mp.bernfrac rounded once to a double."""
-    bernoulli = [Fraction(*mp.bernfrac(2 * k)) for k in range(1, 43)]
+    each an exact Fraction (numerics._bernoulli) rounded once to a double."""
+    bernoulli = [_bernoulli(2 * k) for k in range(1, 43)]
     stirling = [(1 - Fraction(2, 4 ** k)) * abs(b) / (4 * k * (2 * k - 1))
                 for k, b in enumerate(bernoulli[:6], 1)]
     return (tuple(map(float, stirling)),
@@ -725,6 +728,10 @@ def _parse_ordinate(text: str, powers: dict) -> mpf:
 # takes ~2.5 MB at 50 digits, ~4 MB at 320
 _TABLES_HELD = 4
 
+# the largest double: the count check and the zero sums read ordinates in
+# doubles, so a finite row above it is named by its line
+_DOUBLE_MAX = mpf(sys.float_info.max)
+
 
 def load_zero_table(
     path,
@@ -733,16 +740,17 @@ def load_zero_table(
 ) -> ZeroTable:
     """Parse a plain-text zero table at precision + _GUARD digits: one
     ascending decimal ordinate per line, '#' comments and blank lines
-    ignored; lines end in LF, CRLF or CR.  Each row is rounded once to
-    nearest at that precision by exact integer division (_parse_ordinate):
-    a row of digits and a point (past int()'s limit too), and any other form
-    decimal.Decimal reads, signed or in exponent form; nan, inf and other
-    text go to mpf(row).  The claimed accuracy, unless given, is the one
+    ignored; lines end in LF, CRLF or CR, and a leading UTF-8 byte-order
+    mark is skipped.  Each row is rounded once to nearest at that precision
+    by exact integer division (_parse_ordinate): a row of digits and a
+    point (past int()'s limit too), and any other form decimal.Decimal
+    reads, signed or in exponent form; nan, inf and other text go to
+    mpf(row).  The claimed accuracy, unless given, is the one
     stated by a first line in write_zero_table's form, else 1e-10.  A
     ZeroTableError names the line of the first bad ordinate (not UTF-8;
-    unparsable, shown to 60 characters; not positive and finite; or not
-    above the one before); one is raised too if the count fails
-    zero_count_check.
+    unparsable, shown to 60 characters; finite but above the largest
+    double; not positive and finite; or not above the one before); one is
+    raised too if the count fails zero_count_check.
 
     The file is read whole, and the table is memoised on its bytes and the
     two other arguments, so a process that loads one file again gets the
@@ -759,6 +767,8 @@ def load_zero_table(
 def _ingest(data: bytes, claimed_accuracy, precision) -> ZeroTable:
     """load_zero_table on the file's bytes; a pure function of its arguments."""
     ordinates, line_numbers, header, powers = [], [], None, {}
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8):]
     with workdps(precision + _GUARD):
         for lineno, raw in enumerate(data.splitlines(), start=1):
             try:
@@ -771,10 +781,16 @@ def _ingest(data: bytes, claimed_accuracy, precision) -> ZeroTable:
             if not text or text.startswith("#"):
                 continue
             try:
-                ordinates.append(_parse_ordinate(text, powers))
+                g = _parse_ordinate(text, powers)
             except Exception:
+                g = None
+            # exp + bc >= 1024 first: only a row of at least 2^1023 pays for
+            # the comparison; a zero, nan or inf has exp + bc < 0
+            if g is None or g._mpf_[2] + g._mpf_[3] >= 1024 and g > _DOUBLE_MAX:
                 clipped = text if len(text) <= 60 else text[:57] + "..."
-                raise ZeroTableError(f"cannot parse ordinate {clipped!r}", lineno) from None
+                raise ZeroTableError(f"cannot parse ordinate {clipped!r}" if g is None else
+                                     f"ordinate {clipped} beyond the double range", lineno)
+            ordinates.append(g)
             line_numbers.append(lineno)
         if claimed_accuracy is None:
             claimed_accuracy = header.group(1) if header else 1e-10

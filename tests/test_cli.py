@@ -243,6 +243,21 @@ def test_zeros_check_row_not_utf8(capsys, tmp_path):
     assert err == "check failed: line 2: cannot decode row as UTF-8: byte 0xff at column 6\n"
 
 
+def test_zeros_check_row_beyond_the_double_range(capsys, tmp_path):
+    bad = tmp_path / "huge.txt"
+    bad.write_text("14.1347251417347\n1e99999\n", encoding="utf-8")
+    code, out, err = run(capsys, "zeros", "check", str(bad))
+    assert (code, out) == (EXIT_FAIL, "")
+    assert err == "check failed: line 2: ordinate 1e99999 beyond the double range\n"
+
+
+def test_zeros_check_table_behind_a_byte_order_mark(capsys, tmp_path):
+    bom = tmp_path / "bom.txt"
+    with open(ZEROS_FILE, "rb") as fh:
+        bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    assert run(capsys, "zeros", "check", str(bom)) == run(capsys, "zeros", "check", ZEROS_FILE)
+
+
 @pytest.mark.parametrize("argv", [
     ("zeros", "check", "{dir}"),
     ("li", "2", "--zeros-file", "{dir}"),

@@ -2,13 +2,14 @@ import time
 from itertools import islice
 
 import pytest
-from mpmath import mp, mpf, workdps
+from mpmath import mp, mpf, workdps, workprec
 
 from zetasum.numerics import DomainError, target_constant
 from zetasum.special_series import (
     StieltjesRequest,
     _em_remainder_bound,
     _log_power_derivative_coeffs,
+    _log_table,
     p01_integral,
     p01_term,
     p12_closed_form,
@@ -109,6 +110,62 @@ def test_stieltjes_explicit_request_honoured():
     assert stieltjes(StieltjesRequest(0, 10, 2), 30).tail_bound.value > mpf(10) ** -8
 
 
+# the automatic correction order for m = 0..8 at each (P, N), N = None
+# standing for the default 4P; the orders of the mpf implementation
+# before fixed point, pinned
+_AUTO_ORDERS = {
+    (15, None): [8, 8, 8, 8, 10, 10, 10, 12, 12],
+    (15, 20): [12, 12, 12, 14, 14, 16, 16, 16, 18],
+    (15, 137): [6, 6, 6, 8, 8, 8, 8, 8, 10],
+    (15, 1000): [4, 4, 4, 4, 6, 6, 6, 6, 6],
+    (30, None): [14, 14, 16, 16, 16, 16, 18, 18, 18],
+    (30, 20): [30, 32, 32, 34, 36, 38, 38, 40, 42],
+    (30, 137): [14, 14, 14, 16, 16, 16, 16, 18, 18],
+    (30, 1000): [10, 10, 10, 10, 10, 10, 12, 12, 12],
+    (50, None): [24, 24, 24, 26, 26, 26, 26, 28, 28],
+    (50, 20): [88, 96, 104, 124, 124, 124, 124, 124, 124],
+    (50, 137): [26, 26, 28, 28, 28, 30, 30, 30, 32],
+    (50, 1000): [16, 16, 18, 18, 18, 18, 18, 20, 20],
+    (80, None): [38, 38, 38, 38, 40, 40, 40, 42, 42],
+    (80, 20): [124, 124, 124, 124, 124, 124, 124, 124, 124],
+    (80, 137): [48, 48, 50, 50, 52, 52, 52, 54, 54],
+    (80, 1000): [28, 30, 30, 30, 30, 32, 32, 32, 32],
+}
+
+
+@pytest.mark.parametrize("p, N", list(_AUTO_ORDERS))
+def test_stieltjes_auto_order_pinned(p, N, stieltjes_reference):
+    # the automatic request equals the explicit one at the pinned order,
+    # value and bound (an order 2 apart would take another majorant), and
+    # encloses gamma_m; at N = 20 the bound stops decreasing near
+    # p ~ 2 pi N before 10^-(P+2)
+    for m, order in enumerate(_AUTO_ORDERS[p, N]):
+        auto = stieltjes(StieltjesRequest(m, N), p)
+        pinned = stieltjes(StieltjesRequest(m, N, order), p)
+        assert (auto.partial_sum, auto.tail_bound) == (pinned.partial_sum, pinned.tail_bound)
+        assert auto.terms_used == (N or 4 * p)
+        assert _encloses(auto, stieltjes_reference[m])
+
+
+def test_stieltjes_defaults_certified_at_150_digits():
+    for m in (0, 4, 8):
+        r = stieltjes(StieltjesRequest(m), 150)
+        with workdps(170):
+            assert abs(r.value().value - mp.stieltjes(m)) <= r.tail_bound.value
+        assert r.tail_bound.value < mpf(10) ** -147
+
+
+@pytest.mark.parametrize("F", [53, 200])
+def test_log_table_within_its_stated_error(F):
+    # each entry lies below 2^F ln n by less than twice n's bit length
+    table = _log_table(20_000, F)
+    assert len(table) == 20_001
+    with workprec(2 * F):
+        for n in range(1, 20_001):
+            exact = mp.ldexp(mp.ln(n), F)
+            assert table[n] <= exact < table[n] + 2 * n.bit_length(), n
+
+
 @pytest.mark.parametrize("m, N, p", [(0, 10, 4), (0, 200, 42), (2, 50, 6),
                                      (5, 1000, 6), (8, 100, 6), (8, 12, 10)])
 def test_em_remainder_majorant(m, N, p):
@@ -120,7 +177,8 @@ def test_em_remainder_majorant(m, N, p):
     with workdps(40):
         c = list(islice(_log_power_derivative_coeffs(m), p + 1))[p]
         ln_N = mp.ln(N)
-        bound = _em_remainder_bound(c, p, N, ln_N)
+        bound = mp.ldexp(_em_remainder_bound(c, p, N, int(mp.ceil(mp.ldexp(ln_N, 512))), 512),
+                         -512)
         poly = [c.get(a, 0) for a in range(max(c), -1, -1)]
         roots = mp.polyroots(poly, maxsteps=200, extraprec=200) if m else []
         cuts = sorted(p * (mp.re(r) - ln_N) for r in roots

@@ -884,6 +884,41 @@ def test_load_names_a_row_not_utf8(tmp_path):
     assert str(exc.value) == "line 1: cannot decode row as UTF-8: byte 0xe9 at column 3"
 
 
+def test_load_names_a_row_beyond_the_double_range(tmp_path):
+    # such a row is finite and above the row before: the count check would
+    # reject the table in doubles, as 2 ordinates up to inf, not by its line
+    path = tmp_path / "huge.txt"
+    for rows, line in ((["14.1347251417347", "1e99999"], 2),
+                       (["# c", "14.1347251417347", "1.8e308", "1e309"], 3)):
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(ZeroTableError) as exc:
+            load_zero_table(path)
+        assert exc.value.line_number == line
+    assert str(exc.value) == "line 3: ordinate 1.8e308 beyond the double range"
+    # the largest double itself is in range: that table fails the count
+    path.write_text("14.1347251417347\n1.7976931348623157e308\n", encoding="utf-8")
+    with pytest.raises(ZeroTableError, match="^count check failed") as exc:
+        load_zero_table(path)
+    assert exc.value.line_number is None
+
+
+def test_load_skips_a_byte_order_mark(tmp_path):
+    # the shipped table and a copy behind a UTF-8 BOM read to the same
+    # mpfs and accuracy, and a first-line header behind one is read
+    path = tmp_path / "bom.txt"
+    with open(ZEROS_FILE, "rb") as fh:
+        path.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    plain, bom = load_zero_table(ZEROS_FILE), load_zero_table(path)
+    assert [g._mpf_ for g in bom.ordinates] == [g._mpf_ for g in plain.ordinates]
+    assert bom.claimed_accuracy == plain.claimed_accuracy
+    header = "# 2 zeta-zero ordinates (ingested), accuracy 3.00e-12\n"
+    path.write_bytes(("\ufeff" + header + TWO_ROWS).encode("utf-8"))
+    assert float(load_zero_table(path).claimed_accuracy) == 3e-12
+    path.write_bytes(("\ufeff" + TWO_ROWS.replace("21", "2x")).encode("utf-8"))
+    with pytest.raises(ZeroTableError, match="^line 2: "):
+        load_zero_table(path)
+
+
 @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
 def test_load_names_the_line_whatever_the_line_ends(tmp_path, eol):
     path = tmp_path / "bad.txt"
